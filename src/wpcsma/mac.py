@@ -83,10 +83,13 @@ def slot_probabilities(taus) -> SlotProbabilities:
     """Slot-type probabilities for per-node attempt probabilities `taus`."""
     taus = np.asarray(taus, dtype=float)
     require(np.all((taus > 0.0) & (taus < 1.0)), "each tau must be in (0, 1)")
-    p_idle = float(np.prod(1.0 - taus))
-    # prod over j != i, computed stably: p_idle / (1 - tau_i)
-    prod_others = np.array([np.prod(np.delete(1.0 - taus, i))
-                            for i in range(taus.size)])
+    quiet = 1.0 - taus
+    p_idle = float(np.prod(quiet))
+    # prod over j != i as prefix times suffix products (no division, which
+    # would lose precision as tau_i -> 1)
+    before = np.concatenate(([1.0], np.cumprod(quiet[:-1])))
+    after = np.concatenate((np.cumprod(quiet[:0:-1])[::-1], [1.0]))
+    prod_others = before * after
     p_succ = taus * prod_others
     p_col = 1.0 - p_idle - float(np.sum(p_succ))
     p_col_node = taus * (1.0 - prod_others)

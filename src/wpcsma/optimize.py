@@ -11,6 +11,7 @@ Gauss-Seidel sweep over the alpha coordinates.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -132,7 +133,10 @@ def sample_intervals(scenario: Scenario, alpha):
     (extra samples cost net energy) or from below (extra samples harvest net
     energy). Raises with a per-node diagnosis when any interval is empty.
     """
-    md = _model(scenario)
+    return _sample_intervals(_model(scenario), alpha)
+
+
+def _sample_intervals(md: _Model, alpha):
     alpha = np.asarray(alpha, dtype=float)
     lo = np.ones(md.n)
     hi = md.n_max.copy()
@@ -171,17 +175,19 @@ def solve_n_block(scenario: Scenario, alpha, n0, cfg: OptimizerConfig | None = N
     closed form over the feasible box. The true block objective is
     non-decreasing along the iterates.
     """
-    cfg = cfg or OptimizerConfig()
-    md = _model(scenario)
+    return _solve_n_block(_model(scenario), alpha, n0, cfg or OptimizerConfig())
+
+
+def _solve_n_block(md: _Model, alpha, n0, cfg: OptimizerConfig):
     alpha = np.asarray(alpha, dtype=float)
     n = np.clip(np.asarray(n0, dtype=float), 1.0, md.n_max)
-    lo, hi = sample_intervals(scenario, alpha)
+    lo, hi = _sample_intervals(md, alpha)
     slope = md.per_ratio * alpha  # dX/dn_i, constant
     f_prev = None
     for _ in range(cfg.max_inner_iters):
-        x = _load(md, n, alpha)
-        n = np.array([argmax_log_minus_linear(md.n * slope[i] / x, lo[i], hi[i])
-                      for i in range(md.n)])
+        gamma = md.n * slope / _load(md, n, alpha)
+        # argmax_log_minus_linear per node; slope > 0, so gamma > 0
+        n = np.minimum(np.maximum(1.0 / gamma, lo), hi)
         f_cur = float(np.sum(np.log(n))) - md.n * np.log(_load(md, n, alpha))
         if f_prev is not None and abs(f_cur - f_prev) <= cfg.inner_tol * max(1.0, abs(f_cur)):
             break
@@ -198,7 +204,10 @@ def attempt_interval(scenario: Scenario, n, alpha, i: int,
     (node i attempting more often makes the others' transmissions collide,
     which costs them less than a full exchange). Raises when empty.
     """
-    md = _model(scenario)
+    return _attempt_interval(_model(scenario), n, alpha, i, floor)
+
+
+def _attempt_interval(md: _Model, n, alpha, i: int, floor: float):
     n = np.asarray(n, dtype=float)
     alpha = np.asarray(alpha, dtype=float)
     prod_all = float(np.prod(1.0 + alpha))
@@ -212,26 +221,26 @@ def attempt_interval(scenario: Scenario, n, alpha, i: int,
             [f"node {i}: backoff listening exceeds the remaining budget by "
              f"{-rhs_own:.3e} J even before the 1/alpha term"])
     lo = max(lo, md.b[i] / rhs_own)
-    for j in range(md.n):
-        if j == i:
-            continue
-        # node j's constraint as a function of alpha_i
-        prod_k = prod_all / ((1.0 + alpha[i]) * (1.0 + alpha[j]))
-        k_j = (md.c[j] * n[j] + md.d[j]) / prod_k
-        r_j = md.f[j] - md.a[j] * n[j] - md.b[j] / alpha[j]
-        if k_j > 0.0:
-            if r_j <= 0.0:
-                raise InfeasibleError(
-                    "energy budget admits no attempt rate",
-                    [f"node {j}: constraint unsatisfiable for any alpha of "
-                     f"node {i} (deficit {-r_j:.3e} J)"])
-            lo = max(lo, k_j / r_j - 1.0)
-        elif k_j < 0.0 and r_j < 0.0:
-            hi = min(hi, k_j / r_j - 1.0)
-        elif k_j == 0.0 and r_j < 0.0:
-            raise InfeasibleError(
-                "energy budget admits no attempt rate",
-                [f"node {j}: constraint unsatisfiable (deficit {-r_j:.3e} J)"])
+    # every other node j's constraint as a function of alpha_i:
+    # r_j - k_j / (1 + alpha_i) >= 0
+    others = np.arange(md.n) != i
+    prod_k = prod_all / ((1.0 + alpha[i]) * (1.0 + alpha[others]))
+    k = (md.c[others] * n[others] + md.d[others]) / prod_k
+    r = md.f[others] - md.a[others] * n[others] - md.b[others] / alpha[others]
+    dead = ((k > 0.0) & (r <= 0.0)) | ((k == 0.0) & (r < 0.0))
+    if np.any(dead):
+        j_pos = int(np.argmax(dead))
+        j = int(np.flatnonzero(others)[j_pos])
+        detail = (f"node {j}: constraint unsatisfiable for any alpha of node {i}"
+                  if k[j_pos] > 0.0 else f"node {j}: constraint unsatisfiable")
+        raise InfeasibleError("energy budget admits no attempt rate",
+                              [f"{detail} (deficit {-r[j_pos]:.3e} J)"])
+    rises = k > 0.0
+    if np.any(rises):
+        lo = max(lo, float(np.max(k[rises] / r[rises])) - 1.0)
+    caps = (k < 0.0) & (r < 0.0)
+    if np.any(caps):
+        hi = min(hi, float(np.min(k[caps] / r[caps])) - 1.0)
     if lo > hi:
         if lo - hi <= 1e-9:
             lo = hi
@@ -251,11 +260,13 @@ def solve_alpha_block(scenario: Scenario, n, alpha, i: int,
     linearized at the current iterate and log(alpha) - gamma*alpha is
     maximized in closed form on the feasible interval.
     """
-    cfg = cfg or OptimizerConfig()
-    md = _model(scenario)
+    return _solve_alpha_block(_model(scenario), n, alpha, i, cfg or OptimizerConfig())
+
+
+def _solve_alpha_block(md: _Model, n, alpha, i: int, cfg: OptimizerConfig) -> float:
     n = np.asarray(n, dtype=float)
     alpha = np.asarray(alpha, dtype=float).copy()
-    lo, hi = attempt_interval(scenario, n, alpha, i, cfg.alpha_floor)
+    lo, hi = _attempt_interval(md, n, alpha, i, cfg.alpha_floor)
     prod_others = float(np.prod(1.0 + alpha)) / (1.0 + alpha[i])
     slope = md.per_ratio[i] * n[i] + md.ovh_ratio[i] + prod_others
     alpha[i] = min(max(alpha[i], lo), hi)
@@ -270,18 +281,106 @@ def solve_alpha_block(scenario: Scenario, n, alpha, i: int,
     return float(alpha[i])
 
 
-def _slack_one(md: _Model, n, alpha, i: int) -> float:
-    prod_inv = (1.0 + alpha[i]) / float(np.prod(1.0 + alpha))
-    return (md.f[i] - md.a[i] * n[i] - md.b[i] / alpha[i]
-            - (md.c[i] * n[i] + md.d[i]) * prod_inv)
+def _slacks(md: _Model, n, alpha) -> np.ndarray:
+    # energy-neutrality slack of every node (coefficient form)
+    prod_inv = (1.0 + alpha) / float(np.prod(1.0 + alpha))
+    return md.f - md.a * n - md.b / alpha - (md.c * n + md.d) * prod_inv
 
 
 def _any_energy_bound_active(md: _Model, n, alpha, rel: float = 1e-7) -> bool:
     # pair moves only help when an energy constraint pins coordinates;
     # an alpha pinned by (17)/(18) leaves that node's slack at exactly 0
     budgets = np.abs(md.f) + np.abs(md.a) * n + md.b / alpha
-    return any(_slack_one(md, n, alpha, i) <= rel * max(budgets[i], 1e-30)
-               for i in range(md.n))
+    return bool(np.any(_slacks(md, n, alpha) <= rel * np.maximum(budgets, 1e-30)))
+
+
+class _PairTerms:
+    """Scalars of the two-coordinate move, fixed for one pass of pair moves.
+
+    With t_k = 1 + alpha_k, a move scales t_i by e^d and t_j by e^-d, so
+    prod(1 + alpha) = P stays fixed and, with n fixed, along d:
+      load     X(d) = X0 + s_i (t_i - 1) + s_j (t_j - 1)
+      utility  U(d) = U0 + log(t_i - 1) + log(t_j - 1) - N log X(d)
+      slack_k       = r_k - b_k / (t_k - 1) - K_k t_k
+    with s_k = per_ratio_k n_k + ovh_ratio_k, r_k = f_k - a_k n_k,
+    K_k = (c_k n_k + d_k) / P and X0 the load with both alphas removed.
+    Every other node's slack is invariant. Each step is O(1) float work
+    instead of an O(N) array pass.
+    """
+
+    def __init__(self, md: _Model, n, alpha):
+        self.nn = md.n
+        self.s = (md.per_ratio * n + md.ovh_ratio).tolist()
+        self.r = (md.f - md.a * n).tolist()
+        self.k = ((md.c * n + md.d) / float(np.prod(1.0 + alpha))).tolist()
+        self.b = md.b.tolist()
+
+    def gain(self, i: int, j: int, x0: float, bi: float, bj: float, d: float) -> float:
+        """U(d) - U0 for the pair (i, j) starting at t_i = bi, t_j = bj."""
+        ai = bi * math.exp(d) - 1.0
+        aj = bj * math.exp(-d) - 1.0
+        x = x0 + self.s[i] * ai + self.s[j] * aj
+        return math.log(ai) + math.log(aj) - self.nn * math.log(x)
+
+    def slack(self, k: int, a: float) -> float:
+        """Node k's energy slack at attempt odds a (the pair move's P)."""
+        return self.r[k] - self.b[k] / a - self.k[k] * (1.0 + a)
+
+    def odds_limit(self, k: int, a0: float, up: bool) -> float | None:
+        """First odds reached from a0 (moving up or down) where node k's slack
+        turns negative, or None when it never does.
+
+        Multiplied by a > 0, slack >= 0 reads q(a) = -K a^2 + (r - K) a - b >= 0.
+        """
+        kk, r, b = self.k[k], self.r[k], self.b[k]
+        if kk == 0.0:
+            if r <= 0.0:
+                return a0
+            return None if up else b / r
+        disc = (r - kk) ** 2 - 4.0 * kk * b
+        if disc < 0.0:
+            return a0 if kk > 0.0 else None
+        # numerically stable roots of the quadratic
+        qq = -0.5 * ((r - kk) + math.copysign(math.sqrt(disc), r - kk))
+        a1, a2 = sorted((qq / -kk, -b / qq))
+        if kk > 0.0:        # feasible set [a1, a2]
+            return a2 if up else a1
+        # kk < 0: feasible set (-inf, a1] and [a2, inf)
+        if up:
+            return a1 if a0 < 0.5 * (a1 + a2) else None
+        return a2 if a0 > 0.5 * (a1 + a2) else None
+
+    def ends(self, i: int, j: int, bi: float, bj: float, floor: float):
+        """Feasible step range [d_lo, d_hi] around 0, or None when (almost) empty.
+
+        The boxes floor <= alpha <= 0.5 bound d first; the closed-form roots of
+        the two moving constraints then shrink it, and each end is re-checked
+        with the slack itself (bisecting only if rounding put it outside).
+        """
+        d_hi = min(math.log(1.5 / bi), math.log(bj / (1.0 + floor)))
+        d_lo = max(math.log((1.0 + floor) / bi), math.log(bj / 1.5))
+        if d_hi <= 0.0 or d_lo >= 0.0 or d_hi - d_lo < 1e-12:
+            return None
+        # node i's odds rise with d (t_i = bi e^d), node j's fall (t_j = bj e^-d)
+        for k, t0, sign in ((i, bi, 1.0), (j, bj, -1.0)):
+            for up in (True, False):
+                a = self.odds_limit(k, t0 - 1.0, up)
+                if a is None:
+                    continue
+                # a root at or below -1 lies behind a0: no step that way
+                d = sign * math.log((1.0 + a) / t0) if a > -1.0 else 0.0
+                if up == (sign > 0.0):
+                    d_hi = min(d_hi, d)
+                else:
+                    d_lo = max(d_lo, d)
+
+        def feasible(d):
+            return (self.slack(i, bi * math.exp(d) - 1.0) >= -1e-18
+                    and self.slack(j, bj * math.exp(-d) - 1.0) >= -1e-18)
+
+        d_hi = _feasible_end(feasible, d_hi)
+        d_lo = -_feasible_end(lambda d: feasible(-d), -d_lo)
+        return d_lo, d_hi
 
 
 def _pair_sweep(md: _Model, n, alpha, floor: float) -> float:
@@ -293,44 +392,37 @@ def _pair_sweep(md: _Model, n, alpha, floor: float) -> float:
     (1 + alpha_i) by e^d and (1 + alpha_j) by e^-d leaves every constraint of
     the other nodes exactly invariant, so a line search along d redistributes
     attempt odds within the pinned set. Only the pair's own constraints and
-    boxes bound d; each is convex along the line, so its feasible set is an
-    interval around 0 found by bisection.
+    boxes bound d, and along d everything is scalar (see `_PairTerms`).
     """
-    nn = md.n
+    terms = _PairTerms(md, n, alpha)
     moved = 0.0
     u_cur = _utility_raw(md, n, alpha)
-    for i in range(nn):
-        for j in range(i + 1, nn):
-            bi, bj = 1.0 + alpha[i], 1.0 + alpha[j]
-            d_hi = min(np.log(1.5 / bi), np.log(bj / (1.0 + floor)))
-            d_lo = max(np.log((1.0 + floor) / bi), np.log(bj / 1.5))
-            if d_hi <= 0.0 or d_lo >= 0.0 or d_hi - d_lo < 1e-12:
+    x_cur = _load(md, n, alpha)
+    for i in range(md.n):
+        for j in range(i + 1, md.n):
+            ai0, aj0 = float(alpha[i]), float(alpha[j])
+            bi, bj = 1.0 + ai0, 1.0 + aj0
+            span = terms.ends(i, j, bi, bj, floor)
+            if span is None:
                 continue
+            x0 = x_cur - terms.s[i] * ai0 - terms.s[j] * aj0
 
-            def shifted(d):
-                trial = alpha.copy()
-                trial[i] = bi * np.exp(d) - 1.0
-                trial[j] = bj * np.exp(-d) - 1.0
-                return trial
+            def gain(d):
+                return terms.gain(i, j, x0, bi, bj, d)
 
-            def feasible(d):
-                trial = shifted(d)
-                return (_slack_one(md, n, trial, i) >= -1e-18
-                        and _slack_one(md, n, trial, j) >= -1e-18)
-
-            d_hi = _feasible_end(feasible, d_hi)
-            d_lo = -_feasible_end(lambda d: feasible(-d), -d_lo)
-
-            def u_of(d):
-                return _utility_raw(md, n, shifted(d))
-
-            d_best = _line_max(u_of, d_lo, d_hi)
-            u_new = u_of(d_best)
-            if u_new > u_cur + 1e-14 * max(1.0, abs(u_cur)):
-                alpha[:] = shifted(d_best)
-                moved = max(moved, abs(alpha[i] - (bi - 1.0)),
-                            abs(alpha[j] - (bj - 1.0)))
+            d_best = _line_max(gain, *span)
+            tol = 1e-14 * max(1.0, abs(u_cur))
+            if gain(d_best) - gain(0.0) <= tol:
+                continue
+            trial = alpha.copy()
+            trial[i] = bi * math.exp(d_best) - 1.0
+            trial[j] = bj * math.exp(-d_best) - 1.0
+            u_new = _utility_raw(md, n, trial)
+            if u_new > u_cur + tol:
+                alpha[:] = trial
+                moved = max(moved, abs(alpha[i] - ai0), abs(alpha[j] - aj0))
                 u_cur = u_new
+                x_cur = _load(md, n, alpha)
     return moved
 
 
@@ -348,13 +440,13 @@ def _feasible_end(feasible, d_end: float, iters: int = 60) -> float:
     return lo
 
 
-_INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
+_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 def _line_max(fun, lo: float, hi: float, coarse: int = 17,
               tol: float = 1e-12) -> float:
     """Deterministic 1-D maximizer: coarse grid then golden-section refine."""
-    grid = np.linspace(lo, hi, coarse)
+    grid = np.linspace(lo, hi, coarse).tolist()
     vals = [fun(g) for g in grid]
     k = int(np.argmax(vals))
     a = grid[max(k - 1, 0)]
@@ -421,9 +513,9 @@ def solve_bcd(scenario: Scenario, cfg: OptimizerConfig | None = None,
     outer = 0
     for outer in range(1, cfg.max_outer_iters + 1):
         n_before, alpha_before = n.copy(), alpha.copy()
-        n = solve_n_block(scenario, alpha, n, cfg)
+        n = _solve_n_block(md, alpha, n, cfg)
         for i in range(md.n):
-            alpha[i] = solve_alpha_block(scenario, n, alpha, i, cfg)
+            alpha[i] = _solve_alpha_block(md, n, alpha, i, cfg)
         if md.n > 1 and _any_energy_bound_active(md, n, alpha):
             _pair_sweep(md, n, alpha, cfg.alpha_floor)
         u = _utility_raw(md, n, alpha)
@@ -458,20 +550,22 @@ def solve_bcd(scenario: Scenario, cfg: OptimizerConfig | None = None,
 
 
 def round_decision(scenario: Scenario, dv: DecisionVector):
-    """Nearest feasible integer operating point below/around a decision.
+    """Nearest integer operating point below/around a decision.
 
     Floors the sample counts, lifts any node whose energy constraint bounds
-    n from below, then greedily increments while feasible and utility
-    improves. The window is the recovered one rounded to an integer >= 1.
+    n from below, then greedily increments while within the sample intervals
+    and utility improves. The window is the recovered one rounded to an
+    integer >= 1. Returns (n, W, feasible), where feasible says whether every
+    node is energy-neutral at the attempt odds alpha(W, m) that the integer
+    point itself realizes.
     """
     md = _model(scenario)
-    lo, hi = sample_intervals(scenario, dv.alpha)
+    lo, hi = _sample_intervals(md, dv.alpha)
     n_int = np.floor(dv.n + 1e-9)
     n_int = np.maximum(n_int, np.ceil(lo - 1e-9))
     n_int = np.minimum(n_int, np.maximum(np.floor(hi + 1e-9), 1.0))
     n_int = np.clip(n_int, 1.0, md.n_max)
-    feasible = bool(np.all(n_int >= lo - 1e-9) and np.all(n_int <= hi + 1e-9))
-    if feasible:
+    if np.all(n_int >= lo - 1e-9) and np.all(n_int <= hi + 1e-9):
         u_cur = _utility_raw(md, n_int, dv.alpha)
         improved = True
         while improved:
@@ -493,6 +587,8 @@ def round_decision(scenario: Scenario, dv: DecisionVector):
                       for node, ni in zip(scenario.nodes, n_int)])
     w_real = mac.window_from_alpha(dv.alpha, m_int)
     w_int = np.maximum(1.0, np.rint(w_real))
+    alpha_int = mac.alpha_from_tau(mac.tau_from_window(w_int, m_int))
+    feasible = bool(np.all(_slacks(md, n_int, alpha_int) >= 0.0))
     return n_int.astype(int), w_int.astype(int), feasible
 
 
@@ -533,7 +629,7 @@ def check_kkt(scenario: Scenario, dv: DecisionVector, tol: float = 1e-4,
         h = min(fd_step * max(1.0, abs(x)), 0.5 * x)
         return (fun(x + h) - fun(x - h)) / (2.0 * h)
 
-    n_lo, n_hi = sample_intervals(scenario, dv.alpha)
+    n_lo, n_hi = _sample_intervals(md, dv.alpha)
     n_hi = np.minimum(n_hi, md.n_max)
     for i in range(md.n):
         def u_of_n(v, i=i):
@@ -545,7 +641,7 @@ def check_kkt(scenario: Scenario, dv: DecisionVector, tol: float = 1e-4,
                                         float(max(1.0, n_lo[i])), float(n_hi[i]),
                                         central(u_of_n, float(dv.n[i])), tol))
     for i in range(md.n):
-        lo, hi = attempt_interval(scenario, dv.n, dv.alpha, i)
+        lo, hi = _attempt_interval(md, dv.n, dv.alpha, i, OptimizerConfig.alpha_floor)
 
         def u_of_a(v, i=i):
             trial = dv.alpha.copy()

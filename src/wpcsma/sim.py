@@ -12,6 +12,7 @@ are no retransmissions.
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -123,100 +124,99 @@ def simulate(scenario: Scenario, n, w, cfg: SimConfig) -> SimStats:
     occ_a = [np.zeros(w[i], dtype=np.int64) for i in range(nn)] if cfg.track_occupancy else None
     occ_s = [np.zeros(m[i], dtype=np.int64) for i in range(nn)] if cfg.track_occupancy else None
 
-    trace = open(cfg.trace_path, "w") if cfg.trace_path else None
-    if trace:
-        trace.write("slot,type,transmitters\n")
+    with (open(cfg.trace_path, "w") if cfg.trace_path
+          else contextlib.nullcontext()) as trace:
+        if trace:
+            trace.write("slot,type,transmitters\n")
 
-    slot = 0
-    batch = 0
-    while slot < total:
-        measuring = slot >= warmup
-        if measuring:
-            while batch + 1 < _N_BATCHES and slot >= batch_edges[batch + 1]:
-                batch += 1
+        slot = 0
+        batch = 0
+        while slot < total:
+            measuring = slot >= warmup
+            if measuring:
+                while batch + 1 < _N_BATCHES and slot >= batch_edges[batch + 1]:
+                    batch += 1
 
-        # bulk-advance runs where every node sleeps with counter >= 1:
-        # guaranteed idle slots with no draws and no wake-ups
-        if trace is None and not any(active):
-            min_c = min(counter)
-            if min_c >= 1:
-                stop = warmup if not measuring else min(batch_edges[batch + 1], total)
-                delta = min(min_c, stop - slot)
-                if delta >= 1:
-                    if measuring:
-                        b_idle[batch] += delta
-                        b_slots[batch] += delta
-                        b_time[batch] += delta * sigma
-                        if cfg.track_occupancy:
-                            for i in range(nn):
-                                c = counter[i]
-                                occ_s[i][c - delta + 1:c + 1] += 1
-                    for i in range(nn):
-                        counter[i] -= delta
-                    slot += delta
-                    continue
+            # bulk-advance runs where every node sleeps with counter >= 1:
+            # guaranteed idle slots with no draws and no wake-ups
+            if trace is None and not any(active):
+                min_c = min(counter)
+                if min_c >= 1:
+                    stop = warmup if not measuring else min(batch_edges[batch + 1], total)
+                    delta = min(min_c, stop - slot)
+                    if delta >= 1:
+                        if measuring:
+                            b_idle[batch] += delta
+                            b_slots[batch] += delta
+                            b_time[batch] += delta * sigma
+                            if cfg.track_occupancy:
+                                for i in range(nn):
+                                    c = counter[i]
+                                    occ_s[i][c - delta + 1:c + 1] += 1
+                        for i in range(nn):
+                            counter[i] -= delta
+                        slot += delta
+                        continue
 
-        transmitters = [i for i in range(nn) if active[i] and counter[i] == 0]
-        if measuring and cfg.track_occupancy:
+            transmitters = [i for i in range(nn) if active[i] and counter[i] == 0]
+            if measuring and cfg.track_occupancy:
+                for i in range(nn):
+                    if active[i]:
+                        occ_a[i][counter[i]] += 1
+                    else:
+                        occ_s[i][counter[i]] += 1
+
+            if trace:
+                kind = ("idle", "success", "collision")[min(len(transmitters), 2)]
+                trace.write(f"{slot},{kind},{'|'.join(map(str, transmitters))}\n")
+
+            if len(transmitters) == 0:
+                dur = sigma
+                if measuring:
+                    b_idle[batch] += 1
+            elif len(transmitters) == 1:
+                i = transmitters[0]
+                dur = t_succ[i]
+                if measuring:
+                    b_succ[batch, i] += 1
+                    b_bits[batch, i] += bits[i]
+                    b_air[batch, i] += dur
+            else:
+                dur = t_col
+                if measuring:
+                    b_col[batch] += 1
+                    for i in transmitters:
+                        b_air[batch, i] += dur
+
+            if measuring:
+                b_slots[batch] += 1
+                b_time[batch] += dur
+
+            # state updates; transmitters sleep, others step their counters
             for i in range(nn):
                 if active[i]:
-                    occ_a[i][counter[i]] += 1
+                    if counter[i] == 0:
+                        success = len(transmitters) == 1
+                        if measuring:
+                            e_bo = difs_pl[i] + drawn_backoff[i] * sigma_pl[i]
+                            e_dat = eps_succ[i] if success else eps_col[i]
+                            b_energy[batch, i] += cycle_const[i] + e_bo + e_dat
+                            b_cycles[batch, i] += 1
+                            e_backoff_sum[i] += e_bo
+                            e_data_sum[i] += e_dat
+                        active[i] = False
+                        counter[i] = m[i] - 1
+                    else:
+                        counter[i] -= 1
                 else:
-                    occ_s[i][counter[i]] += 1
+                    if counter[i] == 0:
+                        active[i] = True
+                        drawn_backoff[i] = int(rng.integers(0, w[i]))
+                        counter[i] = drawn_backoff[i]
+                    else:
+                        counter[i] -= 1
+            slot += 1
 
-        if trace:
-            kind = ("idle", "success", "collision")[min(len(transmitters), 2)]
-            trace.write(f"{slot},{kind},{'|'.join(map(str, transmitters))}\n")
-
-        if len(transmitters) == 0:
-            dur = sigma
-            if measuring:
-                b_idle[batch] += 1
-        elif len(transmitters) == 1:
-            i = transmitters[0]
-            dur = t_succ[i]
-            if measuring:
-                b_succ[batch, i] += 1
-                b_bits[batch, i] += bits[i]
-                b_air[batch, i] += dur
-        else:
-            dur = t_col
-            if measuring:
-                b_col[batch] += 1
-                for i in transmitters:
-                    b_air[batch, i] += dur
-
-        if measuring:
-            b_slots[batch] += 1
-            b_time[batch] += dur
-
-        # state updates; transmitters sleep, others step their counters
-        for i in range(nn):
-            if active[i]:
-                if counter[i] == 0:
-                    success = len(transmitters) == 1
-                    if measuring:
-                        e_bo = difs_pl[i] + drawn_backoff[i] * sigma_pl[i]
-                        e_dat = eps_succ[i] if success else eps_col[i]
-                        b_energy[batch, i] += cycle_const[i] + e_bo + e_dat
-                        b_cycles[batch, i] += 1
-                        e_backoff_sum[i] += e_bo
-                        e_data_sum[i] += e_dat
-                    active[i] = False
-                    counter[i] = m[i] - 1
-                else:
-                    counter[i] -= 1
-            else:
-                if counter[i] == 0:
-                    active[i] = True
-                    drawn_backoff[i] = int(rng.integers(0, w[i]))
-                    counter[i] = drawn_backoff[i]
-                else:
-                    counter[i] -= 1
-        slot += 1
-
-    if trace:
-        trace.close()
     time_total = float(b_time.sum())
     slots_total = float(b_slots.sum())
     cycles = b_cycles.sum(axis=0)

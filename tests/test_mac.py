@@ -110,6 +110,21 @@ def test_slot_probabilities_match_enumeration():
         assert np.all(probs.p_col_node <= probs.p_col + 1e-15)
 
 
+def test_slot_probabilities_match_explicit_products():
+    # the prefix/suffix products against the explicit product over j != i
+    rng = np.random.default_rng(5)
+    for n_nodes in range(2, 49):
+        taus = rng.uniform(0.001, 0.6, n_nodes)
+        quiet = 1.0 - taus
+        prod_others = np.array([np.prod(np.delete(quiet, i))
+                                for i in range(n_nodes)])
+        probs = slot_probabilities(taus)
+        assert probs.p_idle == pytest.approx(np.prod(quiet), rel=1e-14)
+        assert np.allclose(probs.p_succ, taus * prod_others, rtol=1e-14, atol=0)
+        assert np.allclose(probs.p_col_node, taus * (1.0 - prod_others),
+                           rtol=1e-14, atol=0)
+
+
 def test_slot_probabilities_rejects_bad_tau():
     with pytest.raises(InvalidParameterError):
         slot_probabilities([0.0, 0.2])

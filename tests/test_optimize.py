@@ -1,11 +1,20 @@
+import json
+import math
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from wpcsma import (DecisionVector, InfeasibleError, InvalidParameterError,
                     OptimizerConfig, check_kkt, evaluate, solve_alpha_block,
                     solve_n_block, utility)
+from wpcsma.energy import cycle_energy
+from wpcsma.mac import alpha_from_tau, tau_from_window
 from wpcsma.optimize import (argmax_log_minus_linear, attempt_interval,
-                             round_decision, sample_intervals, _load, _model)
+                             round_decision, sample_intervals, _load, _model,
+                             _feasible_end, _pair_sweep, _PairTerms, _slacks,
+                             _utility_raw)
+from wpcsma.scenario_io import scenario_from_dict
 from wpcsma.timing import frame_times
 
 from conftest import (PROTO, make_node, make_scenario, random_point,
@@ -267,7 +276,9 @@ def test_kkt_flags_suboptimal_point(example1):
 
 def test_round_decision_on_integral_solution(solved_example1, example1):
     n_int, w_int, feasible = round_decision(example1, solved_example1.decision)
-    assert feasible
+    # every window rounds up to W = 1, which spends far more on backoff
+    # listening than the continuous optimum: not energy-neutral
+    assert not feasible
     assert np.array_equal(n_int, [10, 20, 30, 40, 50, 60])
     assert np.all(w_int >= 1)
 
@@ -315,3 +326,117 @@ def test_example1_utility_regression(solved_example1, example1):
             trial = dv.alpha.copy()
             trial[i] = v
             assert _utility_raw(md, dv.n, trial) <= u_star + 1e-6
+
+
+def test_round_decision_feasible_iff_energy_neutral(solved_example1, example1,
+                                                    solved_example2, example2):
+    loose = make_scenario([make_node(phi=80e-3, n_max=9)])
+    cases = [(example1, solved_example1.decision),
+             (example2, solved_example2.decision),
+             (loose, DecisionVector(n=[6.4], alpha=[0.5]))]
+    for scn, dv in cases:
+        n_int, w_int, feasible = round_decision(scn, dv)
+        m = np.array([node.duty.sleep_slots(v) for node, v in zip(scn.nodes, n_int)])
+        alpha = alpha_from_tau(tau_from_window(w_int.astype(float), m))
+        slack = np.array([cycle_energy(scn, i, n_int.astype(float), alpha).slack
+                          for i in range(scn.n_nodes)])
+        assert feasible == bool(np.all(slack >= 0.0))
+    assert feasible  # the loose single node
+
+
+def test_bcd_converges_on_slow_n12_instance():
+    # a generated 12-node scenario on which the solver once ran into its
+    # 200-iteration cap, still creeping up by ~1e-9 per iteration
+    doc = json.loads((Path(__file__).parent / "data" / "gen12_rng203.json").read_text())
+    scn = scenario_from_dict(doc)
+    res = solve_quiet(scn, OptimizerConfig(max_outer_iters=60))
+    assert res.status == "converged"
+    assert check_kkt(scn, res.decision, tol=1e-4).ok
+
+
+def _pinned_point(rng, n_nodes):
+    """A random scenario and the BCD iterate after one outer iteration:
+    alpha blocks have pinned some energy constraints, pair moves have not run."""
+    while True:
+        scn = random_scenario(rng, n_nodes)
+        try:
+            res = solve_quiet(scn, OptimizerConfig(max_outer_iters=1))
+        except InfeasibleError:
+            continue
+        return scn, _model(scn), res.decision.n, res.decision.alpha.copy()
+
+
+def _budgets(scn, n, alpha):
+    return np.array([cycle_energy(scn, i, n, alpha).budget for i in range(scn.n_nodes)])
+
+
+def test_pair_terms_match_full_vector():
+    rng = np.random.default_rng(7)
+    for _ in range(6):
+        scn, md, n, alpha = _pinned_point(rng, int(rng.integers(3, 8)))
+        terms = _PairTerms(md, n, alpha)
+        budgets = _budgets(scn, n, alpha)
+        u0 = _utility_raw(md, n, alpha)
+        x0_full = _load(md, n, alpha)
+        for _ in range(20):
+            i, j = sorted(rng.choice(md.n, 2, replace=False))
+            bi, bj = 1.0 + alpha[i], 1.0 + alpha[j]
+            x0 = x0_full - terms.s[i] * alpha[i] - terms.s[j] * alpha[j]
+            d = float(rng.uniform(max(np.log(1.001 / bi), np.log(bj / 1.5)),
+                                  min(np.log(1.5 / bi), np.log(bj / 1.001))))
+            trial = alpha.copy()
+            trial[i] = bi * math.exp(d) - 1.0
+            trial[j] = bj * math.exp(-d) - 1.0
+            u_scalar = u0 + terms.gain(i, j, x0, bi, bj, d) - terms.gain(i, j, x0, bi, bj, 0.0)
+            assert u_scalar == pytest.approx(_utility_raw(md, n, trial), rel=1e-12)
+            full = _slacks(md, n, trial)
+            for k in (i, j):
+                assert abs(terms.slack(k, trial[k]) - full[k]) <= 1e-12 * budgets[k]
+
+
+def _bisection_ends(md, n, alpha, i, j, floor):
+    """The step range of a pair move by bisection on the full-vector slacks."""
+    bi, bj = 1.0 + alpha[i], 1.0 + alpha[j]
+
+    def feasible(d):
+        trial = alpha.copy()
+        trial[i] = bi * np.exp(d) - 1.0
+        trial[j] = bj * np.exp(-d) - 1.0
+        s = _slacks(md, n, trial)
+        return s[i] >= -1e-18 and s[j] >= -1e-18
+
+    d_hi = min(np.log(1.5 / bi), np.log(bj / (1.0 + floor)))
+    d_lo = max(np.log((1.0 + floor) / bi), np.log(bj / 1.5))
+    return (-_feasible_end(lambda d: feasible(-d), -d_lo),
+            _feasible_end(feasible, d_hi))
+
+
+def test_pair_ends_match_bisection():
+    rng = np.random.default_rng(8)
+    compared = 0
+    for _ in range(6):
+        scn, md, n, alpha = _pinned_point(rng, int(rng.integers(3, 8)))
+        terms = _PairTerms(md, n, alpha)
+        for i in range(md.n):
+            for j in range(i + 1, md.n):
+                if max(alpha[i], alpha[j]) >= 0.5:
+                    continue   # the bisection needs both directions open
+                span = terms.ends(i, j, 1.0 + alpha[i], 1.0 + alpha[j], 1e-6)
+                want = _bisection_ends(md, n, alpha, i, j, 1e-6)
+                assert span == pytest.approx(want, abs=1e-9)
+                compared += 1
+    assert compared >= 20
+
+
+def test_pair_sweep_ascends_and_keeps_feasibility():
+    rng = np.random.default_rng(9)
+    for _ in range(8):
+        scn, md, n, alpha = _pinned_point(rng, int(rng.integers(3, 9)))
+        budgets = _budgets(scn, n, alpha)
+        u_before = _utility_raw(md, n, alpha)
+        prod_before = np.prod(1.0 + alpha)
+        _pair_sweep(md, n, alpha, 1e-6)
+        assert _utility_raw(md, n, alpha) >= u_before
+        assert np.all(_slacks(md, n, alpha) >= -1e-12 * budgets)
+        assert np.prod(1.0 + alpha) == pytest.approx(prod_before, rel=1e-12)
+        assert np.all((alpha > 0.0) & (alpha <= 0.5 + 1e-15))

@@ -140,6 +140,39 @@ def test_trace_file(tmp_path):
     assert np.array_equal(st.throughput, st2.throughput)
 
 
+def test_trace_file_closed_when_run_raises(tmp_path, monkeypatch):
+    # a write that fails mid-run (a full disk) must not leak the open file
+    import wpcsma.sim as sim_mod
+
+    opened = []
+
+    class FailingFile:
+        def __init__(self, path, mode):
+            self.inner = open(path, mode)
+            self.writes = 0
+            opened.append(self)
+
+        def write(self, text):
+            self.writes += 1
+            if self.writes > 3:
+                raise OSError("no space left on device")
+            return self.inner.write(text)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.inner.close()
+
+    monkeypatch.setattr(sim_mod, "open", FailingFile, raising=False)
+    scn = make_scenario([make_node()])
+    cfg = SimConfig(n_slots=500, seed=1, warmup_slots=0,
+                    trace_path=str(tmp_path / "trace.csv"))
+    with pytest.raises(OSError):
+        simulate(scn, [2], [2], cfg)
+    assert len(opened) == 1 and opened[0].inner.closed
+
+
 def test_rejects_bad_integers():
     scn = make_scenario([make_node()])
     cfg = SimConfig(n_slots=100, seed=1, warmup_slots=0)
