@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, energy, mac, sim
+from . import __version__, energy, mac, model, sim
 from .optimize import (DecisionVector, OptimizerConfig, check_kkt, solve_bcd,
                        utility)
 from .params import InfeasibleError, InvalidParameterError, InvalidStateError
@@ -57,11 +57,15 @@ def _load_point(path, n_nodes: int) -> DecisionVector:
         raise InvalidParameterError(f"cannot read point file: {err}") from None
     if not isinstance(doc, dict) or "n" not in doc or "alpha" not in doc:
         raise InvalidParameterError("point file must contain 'n' and 'alpha' arrays")
-    dv = DecisionVector(n=np.asarray(doc["n"], dtype=float),
-                        alpha=np.asarray(doc["alpha"], dtype=float))
-    if dv.n.size != n_nodes:
+    try:
+        n, alpha = (np.asarray(doc[k], dtype=float) for k in ("n", "alpha"))
+    except (TypeError, ValueError):
+        raise InvalidParameterError("point 'n' and 'alpha' must be arrays of "
+                                    "numbers") from None
+    dv = DecisionVector(n=n, alpha=alpha)
+    if dv.n.shape != (n_nodes,):
         raise InvalidParameterError(
-            f"point has {dv.n.size} entries for a {n_nodes}-node scenario")
+            f"point 'n' and 'alpha' must each list {n_nodes} numbers")
     return dv
 
 
@@ -77,11 +81,12 @@ _TABLE_HEADER = ["node", "n", "alpha", "tau", "w_recovered", "throughput_bps",
 
 def _table_rows(scenario, dv: DecisionVector):
     perf = mac.evaluate(scenario, dv.n, dv.alpha)
+    slacks = model.slacks(model.build(scenario), dv.n, dv.alpha)
     rows = []
     payload = {"nodes": []}
     for i in range(scenario.n_nodes):
         br = energy.cycle_energy(scenario, i, dv.n, dv.alpha)
-        slack = energy.constraint_slack(scenario, i, dv.n, dv.alpha)
+        slack = float(slacks[i])
         rows.append([i, dv.n[i], dv.alpha[i], perf.tau[i], perf.window[i],
                      perf.throughput[i], perf.airtime[i], br.e_total,
                      br.budget, slack])

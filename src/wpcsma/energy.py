@@ -12,12 +12,13 @@ which is the form the optimizer consumes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
+from . import model
 from .mac import tau_from_alpha, window_from_alpha
-from .params import PowerProfile, ProtocolParams, Scenario, require
+from .params import DutyCycle, PowerProfile, ProtocolParams, Scenario, require
 from .timing import FrameTimes, frame_times
 
 
@@ -29,12 +30,19 @@ def backoff_energy(p: ProtocolParams, power: PowerProfile, w: float) -> float:
     only be reached through the alpha-extrapolated window.
     """
     require(w >= 1, "contention window must be >= 1")
+    return _backoff(p, power, w)
+
+
+def _backoff(p, power, w):
+    # also below w = 1, where the alpha-parametrized model extrapolates
     return (p.t_difs + (w - 1.0) / 2.0 * p.sigma) * power.p_listen
 
 
-def _backoff_energy_extrapolated(p, power, w):
-    # same formula without the w >= 1 guard, for the alpha-parametrized model
-    return (p.t_difs + (w - 1.0) / 2.0 * p.sigma) * power.p_listen
+def fixed_energy(p: ProtocolParams, power: PowerProfile, duty: DutyCycle, n):
+    """Acquisition, processing, and those two plus background energy per cycle."""
+    e_acq = n * power.p_acq * p.sigma
+    e_proc = n * power.p_proc * duty.g * p.sigma
+    return e_acq, e_proc, e_acq + e_proc + power.e_bg
 
 
 def success_transmit_energy(p: ProtocolParams, power: PowerProfile,
@@ -99,12 +107,11 @@ def cycle_energy(scenario: Scenario, i: int, n, alpha) -> EnergyBreakdown:
     w = window_from_alpha(float(alpha[i]), m)
     taus_others = tau_from_alpha(np.delete(alpha, i))
 
-    e_acq = float(n[i]) * node.power.p_acq * p.sigma
-    e_proc = float(n[i]) * node.power.p_proc * node.duty.g * p.sigma
-    e_bo = _backoff_energy_extrapolated(p, node.power, w)
+    e_acq, e_proc, e_fixed = fixed_energy(p, node.power, node.duty, float(n[i]))
+    e_bo = _backoff(p, node.power, w)
     e_data = data_energy(p, node.power, times, float(n[i]), taus_others)
     e_tx = e_bo + e_data
-    e_total = e_acq + e_proc + e_tx + node.power.e_bg
+    e_total = e_fixed + e_tx
     budget = node.power.phi * m * p.sigma
     return EnergyBreakdown(e_acq=e_acq, e_proc=e_proc, e_backoff=e_bo,
                            e_data=e_data, e_tx_total=e_tx,
@@ -134,24 +141,9 @@ class EnergyCoefficients:
 
 def energy_coefficients(scenario: Scenario, i: int) -> EnergyCoefficients:
     """Constraint coefficients of node i (decision-independent)."""
-    p = scenario.protocol
-    node = scenario.nodes[i]
-    times = frame_times(p, node.link)
-    pw = node.power
-    eps_acq = pw.p_acq * p.sigma
-    eps_proc = pw.p_proc * node.duty.g * p.sigma
-    a = eps_acq + eps_proc - (pw.phi + pw.p_listen) * node.duty.h * p.sigma
-    b = p.sigma * pw.p_listen
-    c = times.per_sample * pw.p_tx
-    d = ((p.t_cts + p.t_ack) * pw.p_rx
-         + (2.0 * p.t_sifs - times.timeout) * pw.p_listen
-         + times.overhead * pw.p_tx)
-    f = (pw.phi * node.duty.g * p.sigma - pw.e_bg
-         - (p.t_difs + times.timeout - node.duty.g * p.sigma) * pw.p_listen
-         - p.t_rts * pw.p_tx)
-    return EnergyCoefficients(a=a, b=b, c=c, d=d, f=f,
-                              per_sample_acq=eps_acq,
-                              per_sample_proc=eps_proc)
+    md = model.build(scenario)
+    return EnergyCoefficients(**{f.name: float(getattr(md, f.name)[i])
+                                 for f in fields(EnergyCoefficients)})
 
 
 def constraint_slack(scenario: Scenario, i: int, n, alpha) -> float:
@@ -162,8 +154,6 @@ def constraint_slack(scenario: Scenario, i: int, n, alpha) -> float:
     """
     n = np.asarray(n, dtype=float)
     alpha = np.asarray(alpha, dtype=float)
-    require(float(alpha[i]) > 0.0, "alpha must be > 0")
-    co = energy_coefficients(scenario, i)
-    prod_inv = float(np.prod(1.0 + np.delete(alpha, i))) ** -1
-    return (co.f - co.a * float(n[i]) - co.b / float(alpha[i])
-            - (co.c * float(n[i]) + co.d) * prod_inv)
+    require(np.all(n >= 1.0), "each n must be >= 1")
+    require(np.all(alpha > 0.0), "each alpha must be > 0")
+    return float(model.slacks(model.build(scenario), n, alpha)[i])

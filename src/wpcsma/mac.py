@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import model
 from .params import InvalidStateError, Scenario, require
-from .timing import frame_times
 
 
 # --- attempt-rate conversions (single source of truth for both the
@@ -108,16 +108,7 @@ def channel_load(scenario: Scenario, n, alpha) -> float:
     alpha = np.asarray(alpha, dtype=float)
     require(np.all(alpha > 0.0), "each alpha must be > 0")
     require(np.all(n >= 1.0), "each n must be >= 1")
-    p = scenario.protocol
-    times = [frame_times(p, node.link) for node in scenario.nodes]
-    t_col = times[0].collision
-    per_sample = np.array([t.per_sample for t in times])
-    succ_ovh = np.array([t.success_overhead for t in times])
-    x = p.sigma / t_col
-    x += float(np.sum(per_sample / t_col * n * alpha))
-    x += float(np.sum((succ_ovh / t_col - 1.0) * alpha))
-    x += float(np.prod(1.0 + alpha)) - 1.0
-    return x
+    return model.load(model.build(scenario), n, alpha)
 
 
 @dataclass(frozen=True)
@@ -143,28 +134,24 @@ def evaluate(scenario: Scenario, n, alpha) -> PerfReport:
     """
     n = np.asarray(n, dtype=float)
     alpha = np.asarray(alpha, dtype=float)
-    p = scenario.protocol
-    times = [frame_times(p, node.link) for node in scenario.nodes]
-    t_col = times[0].collision
+    md = model.build(scenario)
 
     tau = tau_from_alpha(alpha)
     probs = slot_probabilities(tau)
-    t_succ = np.array([t.success(ni) for t, ni in zip(times, n)])
-    mean_slot = (probs.p_idle * p.sigma + float(np.sum(probs.p_succ * t_succ))
-                 + probs.p_col * t_col)
+    require(np.all(n >= 1.0), "each n must be >= 1")
+    t_succ = md.times.success(n)
+    mean_slot = (probs.p_idle * scenario.protocol.sigma
+                 + float(np.sum(probs.p_succ * t_succ)) + probs.p_col * md.t_col)
+    s_renewal = n * md.payload * probs.p_succ / mean_slot
 
-    payload = np.array([node.link.l for node in scenario.nodes])
-    s_renewal = n * payload * probs.p_succ / mean_slot
-
-    x = channel_load(scenario, n, alpha)
-    s_reform = alpha * n * payload / (x * t_col)
+    x = model.load(md, n, alpha)
+    s_reform = alpha * n * md.payload / (x * md.t_col)
     if np.any(s_reform <= 0.0):
         raise InvalidStateError("throughput must be positive")
 
-    airtime = (probs.p_succ * t_succ + probs.p_col_node * t_col) / mean_slot
+    airtime = (probs.p_succ * t_succ + probs.p_col_node * md.t_col) / mean_slot
 
-    m = np.array([node.duty.sleep_slots(ni)
-                  for node, ni in zip(scenario.nodes, n)])
+    m = n * md.duty.h + md.duty.g
     return PerfReport(
         throughput=s_reform,
         throughput_renewal=s_renewal,

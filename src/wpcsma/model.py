@@ -1,0 +1,78 @@
+"""A scenario flattened into per-node arrays, and the formulas every layer shares.
+
+`load` (the throughput denominator) and `slacks` (energy neutrality) are
+written only here; `mac`, `energy`, `optimize` and `sim` read them. The
+power, duty and frame-time arrays keep the field names of `PowerProfile`,
+`DutyCycle` and `FrameTimes`, so a formula written for one node's
+parameters evaluates every node at once when given the model's.
+"""
+
+from __future__ import annotations
+
+from types import SimpleNamespace
+
+import numpy as np
+
+from .params import Scenario
+from .timing import FrameTimes, frame_times
+
+
+def _columns(records) -> dict:
+    # one float array per dataclass field, over the records
+    table = np.array([list(vars(r).values()) for r in records], dtype=float)
+    return dict(zip(vars(records[0]), table.T))
+
+
+def build(scenario: Scenario) -> SimpleNamespace:
+    """Flatten a scenario; each public function builds it once per call.
+
+    Fields: `n` nodes; `times`, `power`, `duty` the FrameTimes, PowerProfile
+    and DutyCycle fields as arrays over the nodes; `payload` bits per sample;
+    `t_col` the collision duration, the same for every node; `sigma_ratio`,
+    `per_ratio`, `ovh_ratio` sigma, the per-sample duration and the success
+    overhead over t_col (the last minus 1); `a`..`f`, `per_sample_acq`,
+    `per_sample_proc` the fields of `energy.EnergyCoefficients`, for all
+    nodes in one pass.
+    """
+    p = scenario.protocol
+    times = FrameTimes(**_columns([frame_times(p, nd.link) for nd in scenario.nodes]))
+    pw = SimpleNamespace(**_columns([nd.power for nd in scenario.nodes]))
+    duty = SimpleNamespace(**_columns([nd.duty for nd in scenario.nodes]))
+    t_col = float(times.collision[0])
+    eps_acq = pw.p_acq * p.sigma
+    eps_proc = pw.p_proc * duty.g * p.sigma
+    return SimpleNamespace(
+        n=scenario.n_nodes, times=times, power=pw, duty=duty,
+        payload=np.array([nd.link.l for nd in scenario.nodes]),
+        t_col=t_col, sigma_ratio=p.sigma / t_col,
+        per_ratio=times.per_sample / t_col,
+        ovh_ratio=times.success_overhead / t_col - 1.0,
+        per_sample_acq=eps_acq, per_sample_proc=eps_proc,
+        a=eps_acq + eps_proc - (pw.phi + pw.p_listen) * duty.h * p.sigma,
+        b=p.sigma * pw.p_listen,
+        c=times.per_sample * pw.p_tx,
+        d=((p.t_cts + p.t_ack) * pw.p_rx
+           + (2.0 * p.t_sifs - times.timeout) * pw.p_listen
+           + times.overhead * pw.p_tx),
+        f=(pw.phi * duty.g * p.sigma - pw.e_bg
+           - (p.t_difs + times.timeout - duty.g * p.sigma) * pw.p_listen
+           - p.t_rts * pw.p_tx),
+    )
+
+
+def load(md, n, alpha) -> float:
+    """Channel-load factor X, the shared throughput denominator.
+
+    Bianchi's renewal form of one slot over the collision duration: idle
+    slots, successes with their overhead, and collisions.
+    """
+    return (md.sigma_ratio
+            + float(np.sum(md.per_ratio * n * alpha))
+            + float(np.sum(md.ovh_ratio * alpha))
+            + float(np.prod(1.0 + alpha)) - 1.0)
+
+
+def slacks(md, n, alpha) -> np.ndarray:
+    """Energy-neutrality slack of every node (coefficient form)."""
+    prod_inv = (1.0 + alpha) / float(np.prod(1.0 + alpha))
+    return md.f - md.a * n - md.b / alpha - (md.c * n + md.d) * prod_inv

@@ -17,9 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import energy, mac
+from . import energy, mac, model
 from .params import InfeasibleError, InvalidStateError, Scenario, require
-from .timing import frame_times
 
 
 @dataclass(frozen=True)
@@ -34,6 +33,7 @@ class DecisionVector:
         object.__setattr__(self, "alpha", np.asarray(self.alpha, dtype=float))
         require(self.n.shape == self.alpha.shape, "n and alpha lengths differ")
         require(np.all(self.n >= 1.0), "each n must be >= 1")
+        require(np.all(np.isfinite(self.n)), "each n must be finite")
         require(np.all(self.alpha > 0.0), "each alpha must be > 0")
         require(np.all(self.alpha <= 0.5), "each alpha must be <= 0.5")
 
@@ -53,56 +53,8 @@ class OptimizerConfig:
                 "iteration caps must be >= 1")
 
 
-@dataclass
-class _Model:
-    """Scenario constants flattened into arrays for the solver hot path."""
-
-    n: int
-    sigma_ratio: float      # sigma / t_col
-    t_col: float
-    per_ratio: np.ndarray   # per-sample duration / t_col
-    ovh_ratio: np.ndarray   # success overhead / t_col - 1
-    payload: np.ndarray
-    n_max: np.ndarray
-    a: np.ndarray
-    b: np.ndarray
-    c: np.ndarray
-    d: np.ndarray
-    f: np.ndarray
-
-
-def _model(scenario: Scenario) -> _Model:
-    p = scenario.protocol
-    times = [frame_times(p, node.link) for node in scenario.nodes]
-    t_col = times[0].collision
-    coeffs = [energy.energy_coefficients(scenario, i)
-              for i in range(scenario.n_nodes)]
-    return _Model(
-        n=scenario.n_nodes,
-        sigma_ratio=p.sigma / t_col,
-        t_col=t_col,
-        per_ratio=np.array([t.per_sample / t_col for t in times]),
-        ovh_ratio=np.array([t.success_overhead / t_col - 1.0 for t in times]),
-        payload=np.array([node.link.l for node in scenario.nodes]),
-        n_max=np.array([float(node.duty.n_max) for node in scenario.nodes]),
-        a=np.array([co.a for co in coeffs]),
-        b=np.array([co.b for co in coeffs]),
-        c=np.array([co.c for co in coeffs]),
-        d=np.array([co.d for co in coeffs]),
-        f=np.array([co.f for co in coeffs]),
-    )
-
-
-def _load(md: _Model, n, alpha) -> float:
-    # channel-load factor X, the shared throughput denominator
-    return (md.sigma_ratio
-            + float(np.sum(md.per_ratio * n * alpha))
-            + float(np.sum(md.ovh_ratio * alpha))
-            + float(np.prod(1.0 + alpha)) - 1.0)
-
-
-def _utility_raw(md: _Model, n, alpha) -> float:
-    x = _load(md, n, alpha)
+def _utility_raw(md, n, alpha) -> float:
+    x = model.load(md, n, alpha)
     s = alpha * n * md.payload / (x * md.t_col)
     if np.any(s <= 0.0) or not np.isfinite(x):
         raise InvalidStateError("throughput must be positive")
@@ -111,8 +63,8 @@ def _utility_raw(md: _Model, n, alpha) -> float:
 
 def utility(scenario: Scenario, dv: DecisionVector) -> float:
     """Sum of natural-log node throughputs at a decision point."""
-    md = _model(scenario)
-    require(np.all(dv.n <= md.n_max + 1e-12), "n exceeds a node's n_max")
+    md = model.build(scenario)
+    require(np.all(dv.n <= md.duty.n_max + 1e-12), "n exceeds a node's n_max")
     return _utility_raw(md, dv.n, dv.alpha)
 
 
@@ -133,13 +85,13 @@ def sample_intervals(scenario: Scenario, alpha):
     (extra samples cost net energy) or from below (extra samples harvest net
     energy). Raises with a per-node diagnosis when any interval is empty.
     """
-    return _sample_intervals(_model(scenario), alpha)
+    return _sample_intervals(model.build(scenario), alpha)
 
 
-def _sample_intervals(md: _Model, alpha):
+def _sample_intervals(md, alpha):
     alpha = np.asarray(alpha, dtype=float)
     lo = np.ones(md.n)
-    hi = md.n_max.copy()
+    hi = md.duty.n_max.copy()
     problems = []
     prod_all = float(np.prod(1.0 + alpha))
     for i in range(md.n):
@@ -161,7 +113,7 @@ def _sample_intervals(md: _Model, alpha):
             else:
                 problems.append(f"node {i}: feasible sample range is empty "
                                 f"(needs n in [{lo[i]:.4g}, {hi[i]:.4g}], "
-                                f"box is [1, {md.n_max[i]:.0f}])")
+                                f"box is [1, {md.duty.n_max[i]:.0f}])")
     if problems:
         raise InfeasibleError("energy budget admits no sample count", problems)
     return lo, hi
@@ -175,20 +127,20 @@ def solve_n_block(scenario: Scenario, alpha, n0, cfg: OptimizerConfig | None = N
     closed form over the feasible box. The true block objective is
     non-decreasing along the iterates.
     """
-    return _solve_n_block(_model(scenario), alpha, n0, cfg or OptimizerConfig())
+    return _solve_n_block(model.build(scenario), alpha, n0, cfg or OptimizerConfig())
 
 
-def _solve_n_block(md: _Model, alpha, n0, cfg: OptimizerConfig):
+def _solve_n_block(md, alpha, n0, cfg: OptimizerConfig):
     alpha = np.asarray(alpha, dtype=float)
-    n = np.clip(np.asarray(n0, dtype=float), 1.0, md.n_max)
+    n = np.clip(np.asarray(n0, dtype=float), 1.0, md.duty.n_max)
     lo, hi = _sample_intervals(md, alpha)
     slope = md.per_ratio * alpha  # dX/dn_i, constant
     f_prev = None
     for _ in range(cfg.max_inner_iters):
-        gamma = md.n * slope / _load(md, n, alpha)
+        gamma = md.n * slope / model.load(md, n, alpha)
         # argmax_log_minus_linear per node; slope > 0, so gamma > 0
         n = np.minimum(np.maximum(1.0 / gamma, lo), hi)
-        f_cur = float(np.sum(np.log(n))) - md.n * np.log(_load(md, n, alpha))
+        f_cur = float(np.sum(np.log(n))) - md.n * np.log(model.load(md, n, alpha))
         if f_prev is not None and abs(f_cur - f_prev) <= cfg.inner_tol * max(1.0, abs(f_cur)):
             break
         f_prev = f_cur
@@ -204,10 +156,10 @@ def attempt_interval(scenario: Scenario, n, alpha, i: int,
     (node i attempting more often makes the others' transmissions collide,
     which costs them less than a full exchange). Raises when empty.
     """
-    return _attempt_interval(_model(scenario), n, alpha, i, floor)
+    return _attempt_interval(model.build(scenario), n, alpha, i, floor)
 
 
-def _attempt_interval(md: _Model, n, alpha, i: int, floor: float):
+def _attempt_interval(md, n, alpha, i: int, floor: float):
     n = np.asarray(n, dtype=float)
     alpha = np.asarray(alpha, dtype=float)
     prod_all = float(np.prod(1.0 + alpha))
@@ -260,10 +212,10 @@ def solve_alpha_block(scenario: Scenario, n, alpha, i: int,
     linearized at the current iterate and log(alpha) - gamma*alpha is
     maximized in closed form on the feasible interval.
     """
-    return _solve_alpha_block(_model(scenario), n, alpha, i, cfg or OptimizerConfig())
+    return _solve_alpha_block(model.build(scenario), n, alpha, i, cfg or OptimizerConfig())
 
 
-def _solve_alpha_block(md: _Model, n, alpha, i: int, cfg: OptimizerConfig) -> float:
+def _solve_alpha_block(md, n, alpha, i: int, cfg: OptimizerConfig) -> float:
     n = np.asarray(n, dtype=float)
     alpha = np.asarray(alpha, dtype=float).copy()
     lo, hi = _attempt_interval(md, n, alpha, i, cfg.alpha_floor)
@@ -272,26 +224,20 @@ def _solve_alpha_block(md: _Model, n, alpha, i: int, cfg: OptimizerConfig) -> fl
     alpha[i] = min(max(alpha[i], lo), hi)
     f_prev = None
     for _ in range(cfg.max_inner_iters):
-        x = _load(md, n, alpha)
+        x = model.load(md, n, alpha)
         alpha[i] = argmax_log_minus_linear(md.n * slope / x, lo, hi)
-        f_cur = np.log(alpha[i]) - md.n * np.log(_load(md, n, alpha))
+        f_cur = np.log(alpha[i]) - md.n * np.log(model.load(md, n, alpha))
         if f_prev is not None and abs(f_cur - f_prev) <= cfg.inner_tol * max(1.0, abs(f_cur)):
             break
         f_prev = f_cur
     return float(alpha[i])
 
 
-def _slacks(md: _Model, n, alpha) -> np.ndarray:
-    # energy-neutrality slack of every node (coefficient form)
-    prod_inv = (1.0 + alpha) / float(np.prod(1.0 + alpha))
-    return md.f - md.a * n - md.b / alpha - (md.c * n + md.d) * prod_inv
-
-
-def _any_energy_bound_active(md: _Model, n, alpha, rel: float = 1e-7) -> bool:
+def _any_energy_bound_active(md, n, alpha, rel: float = 1e-7) -> bool:
     # pair moves only help when an energy constraint pins coordinates;
     # an alpha pinned by (17)/(18) leaves that node's slack at exactly 0
     budgets = np.abs(md.f) + np.abs(md.a) * n + md.b / alpha
-    return bool(np.any(_slacks(md, n, alpha) <= rel * np.maximum(budgets, 1e-30)))
+    return bool(np.any(model.slacks(md, n, alpha) <= rel * np.maximum(budgets, 1e-30)))
 
 
 class _PairTerms:
@@ -308,7 +254,7 @@ class _PairTerms:
     instead of an O(N) array pass.
     """
 
-    def __init__(self, md: _Model, n, alpha):
+    def __init__(self, md, n, alpha):
         self.nn = md.n
         self.s = (md.per_ratio * n + md.ovh_ratio).tolist()
         self.r = (md.f - md.a * n).tolist()
@@ -383,7 +329,7 @@ class _PairTerms:
         return d_lo, d_hi
 
 
-def _pair_sweep(md: _Model, n, alpha, floor: float) -> float:
+def _pair_sweep(md, n, alpha, floor: float) -> float:
     """One pass of two-coordinate attempt-odds moves; returns the max move.
 
     A shared active energy constraint pins several alpha coordinates at once
@@ -397,7 +343,7 @@ def _pair_sweep(md: _Model, n, alpha, floor: float) -> float:
     terms = _PairTerms(md, n, alpha)
     moved = 0.0
     u_cur = _utility_raw(md, n, alpha)
-    x_cur = _load(md, n, alpha)
+    x_cur = model.load(md, n, alpha)
     for i in range(md.n):
         for j in range(i + 1, md.n):
             ai0, aj0 = float(alpha[i]), float(alpha[j])
@@ -422,7 +368,7 @@ def _pair_sweep(md: _Model, n, alpha, floor: float) -> float:
                 alpha[:] = trial
                 moved = max(moved, abs(alpha[i] - ai0), abs(alpha[j] - aj0))
                 u_cur = u_new
-                x_cur = _load(md, n, alpha)
+                x_cur = model.load(md, n, alpha)
     return moved
 
 
@@ -476,7 +422,6 @@ class OptResult:
     perf: mac.PerfReport
     energy: tuple[energy.EnergyBreakdown, ...]
     slacks: np.ndarray
-    recovered_w: np.ndarray
     integer_n: np.ndarray
     integer_w: np.ndarray
     integer_feasible: bool
@@ -499,7 +444,7 @@ def solve_bcd(scenario: Scenario, cfg: OptimizerConfig | None = None,
     exists.
     """
     cfg = cfg or OptimizerConfig()
-    md = _model(scenario)
+    md = model.build(scenario)
     if init is not None:
         n = init.n.copy()
         alpha = init.alpha.copy()
@@ -533,8 +478,7 @@ def solve_bcd(scenario: Scenario, cfg: OptimizerConfig | None = None,
     perf = mac.evaluate(scenario, n, alpha)
     breakdowns = tuple(energy.cycle_energy(scenario, i, n, alpha)
                        for i in range(md.n))
-    slacks = np.array([energy.constraint_slack(scenario, i, n, alpha)
-                       for i in range(md.n)])
+    slacks = model.slacks(md, n, alpha)
     if np.any(perf.window < 1.0):
         bad = np.nonzero(perf.window < 1.0)[0]
         warnings.warn(
@@ -544,8 +488,8 @@ def solve_bcd(scenario: Scenario, cfg: OptimizerConfig | None = None,
     int_n, int_w, int_feasible = round_decision(scenario, dv)
     return OptResult(decision=dv, utility=trace[-1], utility_trace=trace,
                      perf=perf, energy=breakdowns, slacks=slacks,
-                     recovered_w=perf.window, integer_n=int_n,
-                     integer_w=int_w, integer_feasible=int_feasible,
+                     integer_n=int_n, integer_w=int_w,
+                     integer_feasible=int_feasible,
                      status=status, outer_iters=outer)
 
 
@@ -559,12 +503,12 @@ def round_decision(scenario: Scenario, dv: DecisionVector):
     node is energy-neutral at the attempt odds alpha(W, m) that the integer
     point itself realizes.
     """
-    md = _model(scenario)
+    md = model.build(scenario)
     lo, hi = _sample_intervals(md, dv.alpha)
     n_int = np.floor(dv.n + 1e-9)
     n_int = np.maximum(n_int, np.ceil(lo - 1e-9))
     n_int = np.minimum(n_int, np.maximum(np.floor(hi + 1e-9), 1.0))
-    n_int = np.clip(n_int, 1.0, md.n_max)
+    n_int = np.clip(n_int, 1.0, md.duty.n_max)
     if np.all(n_int >= lo - 1e-9) and np.all(n_int <= hi + 1e-9):
         u_cur = _utility_raw(md, n_int, dv.alpha)
         improved = True
@@ -572,7 +516,7 @@ def round_decision(scenario: Scenario, dv: DecisionVector):
             improved = False
             best_gain, best_i = 0.0, -1
             for i in range(md.n):
-                if n_int[i] + 1.0 > min(md.n_max[i], np.floor(hi[i] + 1e-9)):
+                if n_int[i] + 1.0 > min(md.duty.n_max[i], np.floor(hi[i] + 1e-9)):
                     continue
                 trial = n_int.copy()
                 trial[i] += 1.0
@@ -583,12 +527,11 @@ def round_decision(scenario: Scenario, dv: DecisionVector):
                 n_int[best_i] += 1.0
                 u_cur += best_gain
                 improved = True
-    m_int = np.array([node.duty.sleep_slots(ni)
-                      for node, ni in zip(scenario.nodes, n_int)])
+    m_int = n_int * md.duty.h + md.duty.g
     w_real = mac.window_from_alpha(dv.alpha, m_int)
     w_int = np.maximum(1.0, np.rint(w_real))
     alpha_int = mac.alpha_from_tau(mac.tau_from_window(w_int, m_int))
-    feasible = bool(np.all(_slacks(md, n_int, alpha_int) >= 0.0))
+    feasible = bool(np.all(model.slacks(md, n_int, alpha_int) >= 0.0))
     return n_int.astype(int), w_int.astype(int), feasible
 
 
@@ -621,7 +564,7 @@ def check_kkt(scenario: Scenario, dv: DecisionVector, tol: float = 1e-4,
     interior coordinates need a near-zero derivative, coordinates at the
     interval ends need the correctly signed one.
     """
-    md = _model(scenario)
+    md = model.build(scenario)
     report = KktReport()
 
     def central(fun, x):
@@ -630,7 +573,7 @@ def check_kkt(scenario: Scenario, dv: DecisionVector, tol: float = 1e-4,
         return (fun(x + h) - fun(x - h)) / (2.0 * h)
 
     n_lo, n_hi = _sample_intervals(md, dv.alpha)
-    n_hi = np.minimum(n_hi, md.n_max)
+    n_hi = np.minimum(n_hi, md.duty.n_max)
     for i in range(md.n):
         def u_of_n(v, i=i):
             trial = dv.n.copy()

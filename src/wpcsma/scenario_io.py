@@ -9,6 +9,7 @@ numbers, so load -> save -> load is an identity.
 from __future__ import annotations
 
 import json
+import sys
 from pathlib import Path
 
 from .params import (DutyCycle, InvalidParameterError, LinkParams, Node,
@@ -48,12 +49,17 @@ def _number(doc: dict, key: str, where: str) -> float:
     if key not in doc:
         raise InvalidParameterError(f"{where}: missing field {key}")
     v = doc[key]
-    if not isinstance(v, (int, float)) or isinstance(v, bool):
-        raise InvalidParameterError(f"{where}: field {key} must be a number")
+    # JSON also admits Infinity, NaN, 1e400 (read as inf) and integers
+    # beyond the float range; none of them passes the comparison
+    if (not isinstance(v, (int, float)) or isinstance(v, bool)
+            or not abs(v) <= sys.float_info.max):
+        raise InvalidParameterError(f"{where}: field {key} must be a finite number")
     return float(v)
 
 
-def _check_keys(doc: dict, allowed, where: str) -> None:
+def _check_keys(doc, allowed, where: str) -> None:
+    if not isinstance(doc, dict):
+        raise InvalidParameterError(f"{where} must be an object")
     unknown = set(doc) - set(allowed)
     if unknown:
         raise InvalidParameterError(
@@ -62,8 +68,6 @@ def _check_keys(doc: dict, allowed, where: str) -> None:
 
 def scenario_from_dict(doc: dict) -> Scenario:
     """Validate and convert a parsed unit-suffixed document."""
-    if not isinstance(doc, dict):
-        raise InvalidParameterError("scenario document must be an object")
     _check_keys(doc, {"name", "comment", "protocol", "nodes"}, "scenario")
     if "protocol" not in doc or "nodes" not in doc:
         raise InvalidParameterError("scenario: missing protocol or nodes")

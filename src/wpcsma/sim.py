@@ -20,7 +20,7 @@ import numpy as np
 from .params import InvalidParameterError, Scenario, require
 from .timing import frame_times
 from . import energy as energy_model
-from . import mac
+from . import mac, model
 
 _N_BATCHES = 20
 _T_CRIT_19 = 2.093024054408263  # two-sided 95% Student t, 19 dof
@@ -78,24 +78,19 @@ def simulate(scenario: Scenario, n, w, cfg: SimConfig) -> SimStats:
             raise InvalidParameterError(f"node {i}: window must be an integer >= 1")
         if n[i] < 1:
             raise InvalidParameterError(f"node {i}: samples must be an integer >= 1")
+    # per-node constants of the run, as Python floats for the slot loop
     p = scenario.protocol
-    m = [int(node.duty.sleep_slots(ni)) for node, ni in zip(scenario.nodes, n)]
-
-    # per-node constants of the run
-    t_succ, bits, eps_succ, eps_col = [], [], [], []
-    sigma_pl, difs_pl, cycle_const = [], [], []
-    for i, node in enumerate(scenario.nodes):
-        times = frame_times(p, node.link)
-        t_succ.append(times.success(n[i]))
-        bits.append(n[i] * node.link.l)
-        eps_succ.append(energy_model.success_transmit_energy(p, node.power, times, n[i]))
-        eps_col.append(energy_model.collision_transmit_energy(p, node.power, times))
-        sigma_pl.append(p.sigma * node.power.p_listen)
-        difs_pl.append(p.t_difs * node.power.p_listen)
-        cycle_const.append(n[i] * node.power.p_acq * p.sigma
-                           + n[i] * node.power.p_proc * node.duty.g * p.sigma
-                           + node.power.e_bg)
-    t_col = frame_times(p, scenario.nodes[0].link).collision
+    md = model.build(scenario)
+    n_arr = np.array(n)
+    m = [int(v) for v in n_arr * md.duty.h + md.duty.g]
+    t_succ = md.times.success(n_arr).tolist()
+    bits = (n_arr * md.payload).tolist()
+    eps_succ = energy_model.success_transmit_energy(p, md.power, md.times, n_arr).tolist()
+    eps_col = energy_model.collision_transmit_energy(p, md.power, md.times).tolist()
+    sigma_pl = (p.sigma * md.power.p_listen).tolist()
+    difs_pl = (p.t_difs * md.power.p_listen).tolist()
+    cycle_const = energy_model.fixed_energy(p, md.power, md.duty, n_arr)[2].tolist()
+    t_col = md.t_col
     sigma = p.sigma
 
     rng = np.random.default_rng(cfg.seed)
@@ -286,9 +281,7 @@ def empirical_energy_check(scenario: Scenario, n, w, cfg: SimConfig,
     taus = np.array([mac.tau_from_window(w[i], m[i]) for i in range(scenario.n_nodes)])
     for i, node in enumerate(scenario.nodes):
         times = frame_times(p, node.link)
-        const = (n[i] * node.power.p_acq * p.sigma
-                 + n[i] * node.power.p_proc * node.duty.g * p.sigma
-                 + node.power.e_bg)
+        const = energy_model.fixed_energy(p, node.power, node.duty, n[i])[2]
         e_bo = energy_model.backoff_energy(p, node.power, w[i])
         e_dat = energy_model.data_energy(p, node.power, times, n[i],
                                          np.delete(taus, i))

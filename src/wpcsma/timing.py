@@ -25,8 +25,7 @@ def subheader_duration(p: ProtocolParams, rate: float) -> float:
 def amsdu_duration(p: ProtocolParams, link: LinkParams, n: float) -> float:
     """Duration of an aggregate data frame carrying n equal subframes."""
     require(n >= 0, "n must be >= 0")
-    return header_overhead(p, link.rate) + n * (link.l / link.rate +
-                                                subheader_duration(p, link.rate))
+    return frame_times(p, link).amsdu(n)
 
 
 def success_overhead(p: ProtocolParams, rate: float) -> float:
@@ -38,8 +37,7 @@ def success_overhead(p: ProtocolParams, rate: float) -> float:
 def success_duration(p: ProtocolParams, link: LinkParams, n: float) -> float:
     """Wall-clock duration of a successful n-subframe exchange."""
     require(n >= 0, "n must be >= 0")
-    return success_overhead(p, link.rate) + n * (link.l / link.rate +
-                                                 subheader_duration(p, link.rate))
+    return frame_times(p, link).success(n)
 
 
 def timeout_duration(p: ProtocolParams) -> float:

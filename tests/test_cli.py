@@ -196,3 +196,51 @@ def test_point_length_mismatch(tmp_path):
     ppath = write_point(tmp_path, [2.0, 2.0], [0.1, 0.1])
     assert main(["analyze", "--scenario", str(spath), "--point", str(ppath),
                  "--out", str(tmp_path / "o")]) == 3
+
+
+_EXAMPLE1 = Path(__file__).parent.parent / "src" / "wpcsma" / "data" / "example1.json"
+
+
+def _with_field(path, raw):
+    """example1's JSON text with the field at `path` replaced by raw JSON text."""
+    doc = json.loads(_EXAMPLE1.read_text())
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = "@@"
+    return json.dumps(doc).replace('"@@"', raw)
+
+
+@pytest.mark.parametrize("path, raw", [
+    pytest.param(("protocol",), "5", id="protocol-number"),
+    pytest.param(("protocol",), "[{}]", id="protocol-list"),
+    pytest.param(("nodes", 0), "5", id="node-number"),
+    pytest.param(("nodes", 0), "null", id="node-null"),
+    pytest.param(("nodes", 0, "n_max"), "1e400", id="n_max-1e400"),
+    pytest.param(("nodes", 0, "n_max"), "1" + "0" * 400, id="n_max-huge-int"),
+    pytest.param(("nodes", 0, "rate_mbps"), "Infinity", id="rate-Infinity"),
+    pytest.param(("nodes", 0, "phi_mw"), "NaN", id="phi-NaN"),
+])
+def test_malformed_scenario_exits_invalid(tmp_path, capsys, path, raw):
+    spath = tmp_path / "bad.json"
+    spath.write_text(_with_field(path, raw))
+    code = main(["optimize", "--scenario", str(spath),
+                 "--out", str(tmp_path / "o")])
+    assert code == 3
+    assert "invalid input" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n, alpha", [
+    ('"abc"', "[0.1, 0.1, 0.1, 0.1, 0.1, 0.1]"),
+    ('["abc", 1, 1, 1, 1, 1]', "[0.1, 0.1, 0.1, 0.1, 0.1, 0.1]"),
+    ("[Infinity, 1, 1, 1, 1, 1]", "[0.1, 0.1, 0.1, 0.1, 0.1, 0.1]"),
+    ("[[1, 1, 1, 1, 1, 1]]", "[[0.1, 0.1, 0.1, 0.1, 0.1, 0.1]]"),
+])
+def test_malformed_point_exits_invalid(tmp_path, capsys, n, alpha):
+    ppath = tmp_path / "point.json"
+    ppath.write_text('{"n": %s, "alpha": %s}' % (n, alpha))
+    code = main(["simulate", "--scenario", str(_EXAMPLE1), "--point", str(ppath),
+                 "--slots", "20000", "--warmup", "1000",
+                 "--out", str(tmp_path / "o")])
+    assert code == 3
+    assert "invalid input" in capsys.readouterr().err

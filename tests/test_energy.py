@@ -7,6 +7,7 @@ from wpcsma import (InvalidParameterError, backoff_energy,
                     collision_transmit_energy, constraint_slack, cycle_energy,
                     data_energy, energy_coefficients, evaluate,
                     success_transmit_energy, tau_from_alpha)
+from wpcsma import model
 from wpcsma.mac import window_from_alpha
 from wpcsma.timing import frame_times
 
@@ -132,17 +133,35 @@ def test_coefficients_match_hand_values():
 
 
 def test_coefficient_form_equals_direct_energy():
-    # master identity: budget - e_total == slack, for random scenarios/points
+    # master identity: budget - e_total == slack, for random scenarios/points,
+    # on every node of the shared model's slacks
     rng = np.random.default_rng(3)
     for _ in range(200):
         scn = random_scenario(rng)
         n, alpha = random_point(rng, scn)
+        shared = model.slacks(model.build(scn), n, alpha)
+        for i in range(scn.n_nodes):
+            br = cycle_energy(scn, i, n, alpha)
+            direct = br.budget - br.e_total
+            scale = max(abs(direct), abs(shared[i]), br.budget)
+            assert abs(direct - shared[i]) <= 1e-12 * scale
         i = int(rng.integers(0, scn.n_nodes))
-        br = cycle_energy(scn, i, n, alpha)
-        slack = constraint_slack(scn, i, n, alpha)
-        direct = br.budget - br.e_total
-        scale = max(abs(direct), abs(slack), br.budget)
-        assert abs(direct - slack) <= 1e-12 * scale
+        assert constraint_slack(scn, i, n, alpha) == shared[i]
+
+
+def test_cycle_energy_extrapolates_backoff_below_one_slot():
+    # alpha = 0.5 at n = 10 recovers W = 6 - 2*32 - 1 = -59 on make_node()
+    node = make_node()
+    scn = make_scenario([node, make_node()])
+    n, alpha = [10.0, 10.0], [0.5, 0.1]
+    w = window_from_alpha(0.5, node.duty.sleep_slots(10.0))
+    assert w < 1
+    br = cycle_energy(scn, 0, n, alpha)
+    assert br.e_backoff == ((PROTO.t_difs + (w - 1) / 2 * PROTO.sigma)
+                            * node.power.p_listen)
+    assert br.e_backoff < 0
+    with pytest.raises(InvalidParameterError):
+        backoff_energy(PROTO, node.power, w)
 
 
 def test_energies_scale_linearly_with_power():

@@ -10,9 +10,10 @@ from wpcsma import (DecisionVector, InfeasibleError, InvalidParameterError,
                     solve_n_block, utility)
 from wpcsma.energy import cycle_energy
 from wpcsma.mac import alpha_from_tau, tau_from_window
+from wpcsma.model import build, load, slacks
 from wpcsma.optimize import (argmax_log_minus_linear, attempt_interval,
-                             round_decision, sample_intervals, _load, _model,
-                             _feasible_end, _pair_sweep, _PairTerms, _slacks,
+                             round_decision, sample_intervals,
+                             _feasible_end, _pair_sweep, _PairTerms,
                              _utility_raw)
 from wpcsma.scenario_io import scenario_from_dict
 from wpcsma.timing import frame_times
@@ -79,11 +80,11 @@ def test_n_block_single_node_hits_cap():
     n = solve_n_block(scn, np.array([0.3]), np.array([1.0]))
     assert n[0] == pytest.approx(10.0)
     # grid-search oracle over the feasible interval
-    md = _model(scn)
+    md = build(scn)
     lo, hi = sample_intervals(scn, np.array([0.3]))
 
     def f1(v):
-        return np.log(v) - 1 * np.log(_load(md, np.array([v]), np.array([0.3])))
+        return np.log(v) - 1 * np.log(load(md, np.array([v]), np.array([0.3])))
 
     best = grid_argmax(f1, max(lo[0], 1.0), hi[0])
     assert abs(best - n[0]) <= (hi[0] - max(lo[0], 1.0)) / 4000 + 1e-9
@@ -124,7 +125,7 @@ def test_n_block_multinode_matches_coordinate_grid():
         except InfeasibleError:
             continue
         hits += 1
-        md = _model(scn)
+        md = build(scn)
         lo, hi = sample_intervals(scn, alpha)
         lo = np.maximum(lo, 1.0)
         # coordinatewise optimality against a fine grid
@@ -133,7 +134,7 @@ def test_n_block_multinode_matches_coordinate_grid():
                 trial = n.copy()
                 trial[i] = v
                 return float(np.sum(np.log(trial))
-                             - 3 * np.log(_load(md, trial, alpha)))
+                             - 3 * np.log(load(md, trial, alpha)))
             best = grid_argmax(f1, lo[i], hi[i], 2001)
             assert f1(float(n[i])) >= f1(best) - 1e-6
     assert hits >= 3
@@ -159,7 +160,7 @@ def test_alpha_block_matches_grid_oracle():
     checked = 0
     for _ in range(12):
         scn = random_scenario(rng, 3)
-        md = _model(scn)
+        md = build(scn)
         n = np.array([float(node.duty.n_max) for node in scn.nodes])
         alpha = np.full(3, 0.5)
         try:
@@ -170,7 +171,7 @@ def test_alpha_block_matches_grid_oracle():
                 def f2(v, i=i):
                     trial = alpha.copy()
                     trial[i] = v
-                    return float(np.log(v) - 3 * np.log(_load(md, n, trial)))
+                    return float(np.log(v) - 3 * np.log(load(md, n, trial)))
 
                 best = grid_argmax(f2, lo, hi, 2001)
                 assert f2(float(alpha[i])) >= f2(best) - 1e-6
@@ -245,7 +246,7 @@ def test_log_load_concave_along_coordinates():
     rng = np.random.default_rng(4)
     for _ in range(40):
         scn = random_scenario(rng)
-        md = _model(scn)
+        md = build(scn)
         n, alpha = random_point(rng, scn)
         i = int(rng.integers(0, scn.n_nodes))
         h = 1e-3
@@ -256,7 +257,7 @@ def test_log_load_concave_along_coordinates():
                     nn[i] += d
                 else:
                     aa[i] += d
-                return np.log(_load(md, nn, aa))
+                return np.log(load(md, nn, aa))
             second = (logx(h) - 2 * logx(0.0) + logx(-h)) / h**2
             assert second <= 1e-8
 
@@ -310,7 +311,7 @@ def test_example1_utility_regression(solved_example1, example1):
     assert solved_example1.utility == pytest.approx(83.70271990307022,
                                                     rel=1e-6)
     # grid spot check: no single feasible coordinate move beats the optimum
-    md = _model(example1)
+    md = build(example1)
     dv = solved_example1.decision
     u_star = solved_example1.utility
     n_lo, n_hi = sample_intervals(example1, dv.alpha)
@@ -363,7 +364,7 @@ def _pinned_point(rng, n_nodes):
             res = solve_quiet(scn, OptimizerConfig(max_outer_iters=1))
         except InfeasibleError:
             continue
-        return scn, _model(scn), res.decision.n, res.decision.alpha.copy()
+        return scn, build(scn), res.decision.n, res.decision.alpha.copy()
 
 
 def _budgets(scn, n, alpha):
@@ -377,7 +378,7 @@ def test_pair_terms_match_full_vector():
         terms = _PairTerms(md, n, alpha)
         budgets = _budgets(scn, n, alpha)
         u0 = _utility_raw(md, n, alpha)
-        x0_full = _load(md, n, alpha)
+        x0_full = load(md, n, alpha)
         for _ in range(20):
             i, j = sorted(rng.choice(md.n, 2, replace=False))
             bi, bj = 1.0 + alpha[i], 1.0 + alpha[j]
@@ -389,7 +390,7 @@ def test_pair_terms_match_full_vector():
             trial[j] = bj * math.exp(-d) - 1.0
             u_scalar = u0 + terms.gain(i, j, x0, bi, bj, d) - terms.gain(i, j, x0, bi, bj, 0.0)
             assert u_scalar == pytest.approx(_utility_raw(md, n, trial), rel=1e-12)
-            full = _slacks(md, n, trial)
+            full = slacks(md, n, trial)
             for k in (i, j):
                 assert abs(terms.slack(k, trial[k]) - full[k]) <= 1e-12 * budgets[k]
 
@@ -402,7 +403,7 @@ def _bisection_ends(md, n, alpha, i, j, floor):
         trial = alpha.copy()
         trial[i] = bi * np.exp(d) - 1.0
         trial[j] = bj * np.exp(-d) - 1.0
-        s = _slacks(md, n, trial)
+        s = slacks(md, n, trial)
         return s[i] >= -1e-18 and s[j] >= -1e-18
 
     d_hi = min(np.log(1.5 / bi), np.log(bj / (1.0 + floor)))
@@ -437,6 +438,6 @@ def test_pair_sweep_ascends_and_keeps_feasibility():
         prod_before = np.prod(1.0 + alpha)
         _pair_sweep(md, n, alpha, 1e-6)
         assert _utility_raw(md, n, alpha) >= u_before
-        assert np.all(_slacks(md, n, alpha) >= -1e-12 * budgets)
+        assert np.all(slacks(md, n, alpha) >= -1e-12 * budgets)
         assert np.prod(1.0 + alpha) == pytest.approx(prod_before, rel=1e-12)
         assert np.all((alpha > 0.0) & (alpha <= 0.5 + 1e-15))
