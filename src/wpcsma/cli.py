@@ -225,7 +225,8 @@ def cmd_simulate(args) -> int:
                       "p_col": stats.p_col,
                       "energy_per_cycle": stats.energy_per_cycle,
                       "cycles": stats.cycles,
-                      "total_time_s": stats.total_time},
+                      "total_time_s": stats.total_time,
+                      "event_slots": stats.event_slots},
         "ci_halfwidth": stats.ci_halfwidth,
     }
     write_sidecar(out / "simulate.json", payload)

@@ -12,6 +12,7 @@ Gauss-Seidel sweep over the alpha coordinates.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, field
 
@@ -48,9 +49,15 @@ class OptimizerConfig:
     move_tol: float = 1e-9        # max coordinate move across outer iters
 
     def __post_init__(self):
-        require(self.outer_tol > 0 and self.inner_tol > 0, "tolerances must be > 0")
-        require(self.max_outer_iters >= 1 and self.max_inner_iters >= 1,
-                "iteration caps must be >= 1")
+        for name in ("max_outer_iters", "max_inner_iters"):
+            v = getattr(self, name)
+            require(isinstance(v, numbers.Integral) and not isinstance(v, bool)
+                    and v >= 1, f"{name} must be an integer >= 1, got {v!r}")
+        for name in ("outer_tol", "inner_tol", "alpha_floor", "move_tol"):
+            v = getattr(self, name)
+            require(isinstance(v, numbers.Real) and not isinstance(v, bool)
+                    and math.isfinite(v) and v > 0,
+                    f"{name} must be a finite number > 0, got {v!r}")
 
 
 def _utility_raw(md, n, alpha) -> float:

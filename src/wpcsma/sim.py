@@ -8,11 +8,20 @@ slot's wall-clock duration (the model's decoupling of chain steps from wall
 time, kept deliberately). A node whose fresh backoff draw is 0 transmits in
 the following slot. Collided packets are dropped and the node sleeps; there
 are no retransmissions.
+
+Because every counter steps once per slot, the slot where a node's counter
+reads 0 (where it wakes and draws a backoff, or transmits) is known as soon
+as the counter is set. The core is an event loop over those slots: the
+slots between them are idle and are accounted a run at a time.
 """
 
 from __future__ import annotations
 
 import contextlib
+import heapq
+import numbers
+import time
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,6 +33,10 @@ from . import mac, model
 
 _N_BATCHES = 20
 _T_CRIT_19 = 2.093024054408263  # two-sided 95% Student t, 19 dof
+_DRAW_BLOCK = 1024              # raw 64-bit outputs fetched per refill
+_TRACE_CHUNK = 4096             # idle trace lines joined per write
+_MASK32 = (1 << 32) - 1
+_MASK64 = (1 << 64) - 1
 
 
 @dataclass(frozen=True)
@@ -35,6 +48,10 @@ class SimConfig:
     trace_path: str | None = None   # per-slot CSV: slot,type,transmitters
 
     def __post_init__(self):
+        for name in ("n_slots", "warmup_slots"):
+            v = getattr(self, name)
+            require(isinstance(v, numbers.Integral) and not isinstance(v, bool),
+                    f"{name} must be an integer, got {v!r}")
         require(self.warmup_slots >= 0, "warmup_slots must be >= 0")
         require(self.n_slots > self.warmup_slots,
                 "n_slots must exceed warmup_slots")
@@ -61,6 +78,73 @@ class SimStats:
     occupancy_sleep: list | None = None    # per node: counts over (S, k)
     rng_name: str = "PCG64"
     seed: int = 0
+    event_slots: int = 0          # slots where some node is due, warmup included
+    wall_time_s: float = 0.0      # host seconds spent in `simulate`
+
+
+def bounded_draws(rng: np.random.Generator):
+    """Return `draw(w)`: an integer uniform on [0, w), `rng.integers(0, w)`'s value.
+
+    Successive draws equal what successive `rng.integers(0, w)` calls on the
+    same generator return. numpy reduces a bound w <= 2**32 with Lemire's
+    multiply-and-reject on 32-bit values (Lemire, ACM TOMACS 2019); PCG64
+    serves a 32-bit value as the low half of a fresh 64-bit output and keeps
+    the high half for the next one. A larger bound takes whole 64-bit outputs
+    and leaves a kept half in place, and w == 1 takes nothing. `draw` replays
+    this on blocks of raw outputs (`random_raw`), at a fraction of the cost
+    of a Generator call. The generator runs ahead of the draws, so it must
+    not be used for anything else afterwards.
+    """
+    raw = rng.bit_generator.random_raw
+    buf: list[int] = []   # halves of raw outputs: low, high, low, high, ...
+    pos = 0               # next half; odd while an output's high half is kept
+
+    def fill():
+        nonlocal buf, pos
+        words = raw(_DRAW_BLOCK)
+        halves = np.empty(2 * _DRAW_BLOCK, dtype=np.uint64)
+        halves[0::2] = words & _MASK32
+        halves[1::2] = words >> 32
+        # a kept high half stays next, after its output's (used) low half
+        buf = buf[pos - (pos & 1):] + halves.tolist()
+        pos &= 1
+
+    def next64():
+        nonlocal pos
+        if pos + (pos & 1) + 2 > len(buf):
+            fill()
+        j = pos + (pos & 1)
+        word = buf[j] | buf[j + 1] << 32
+        if pos & 1:
+            buf[j + 1] = buf[pos]   # the kept half moves past the used output
+        pos += 2
+        return word
+
+    def draw(w: int) -> int:
+        nonlocal pos
+        if w == 1:
+            return 0
+        if w > 1 << 32:
+            x = next64() * w
+            if x & _MASK64 < w:
+                t = ((1 << 64) - w) % w
+                while x & _MASK64 < t:
+                    x = next64() * w
+            return x >> 64
+        if pos == len(buf):
+            fill()
+        x = buf[pos] * w
+        pos += 1
+        if x & _MASK32 < w:
+            t = ((1 << 32) - w) % w
+            while x & _MASK32 < t:
+                if pos == len(buf):
+                    fill()
+                x = buf[pos] * w
+                pos += 1
+        return x >> 32
+
+    return draw
 
 
 def simulate(scenario: Scenario, n, w, cfg: SimConfig) -> SimStats:
@@ -69,6 +153,7 @@ def simulate(scenario: Scenario, n, w, cfg: SimConfig) -> SimStats:
     `n` and `w` are per-node integers (samples per cycle, backoff window);
     the sleep length is m = n*h + g. Deterministic for a given seed.
     """
+    t_start = time.perf_counter()
     nn = scenario.n_nodes
     n = [int(v) for v in np.asarray(n)]
     w = [int(v) for v in np.asarray(w)]
@@ -78,7 +163,7 @@ def simulate(scenario: Scenario, n, w, cfg: SimConfig) -> SimStats:
             raise InvalidParameterError(f"node {i}: window must be an integer >= 1")
         if n[i] < 1:
             raise InvalidParameterError(f"node {i}: samples must be an integer >= 1")
-    # per-node constants of the run, as Python floats for the slot loop
+    # per-node constants of the run, as Python floats for the event loop
     p = scenario.protocol
     md = model.build(scenario)
     n_arr = np.array(n)
@@ -93,124 +178,165 @@ def simulate(scenario: Scenario, n, w, cfg: SimConfig) -> SimStats:
     t_col = md.t_col
     sigma = p.sigma
 
-    rng = np.random.default_rng(cfg.seed)
-    # random sleep phase avoids synchronized starts; warmup does the rest
-    active = [False] * nn
-    counter = [int(rng.integers(0, m[i])) for i in range(nn)]
-    drawn_backoff = [0] * nn
-
     total = cfg.n_slots
     warmup = cfg.warmup_slots
     meas = total - warmup
-    batch_edges = [warmup + (meas * b) // _N_BATCHES for b in range(_N_BATCHES + 1)]
-
-    b_bits = np.zeros((_N_BATCHES, nn))
-    b_air = np.zeros((_N_BATCHES, nn))
-    b_time = np.zeros(_N_BATCHES)
-    b_idle = np.zeros(_N_BATCHES)
-    b_succ = np.zeros((_N_BATCHES, nn))
-    b_col = np.zeros(_N_BATCHES)
-    b_slots = np.zeros(_N_BATCHES)
-    b_energy = np.zeros((_N_BATCHES, nn))
-    b_cycles = np.zeros((_N_BATCHES, nn))
-    e_backoff_sum = np.zeros(nn)
-    e_data_sum = np.zeros(nn)
+    # accounting rows: row 0 takes the warmup slots and is dropped, row b + 1
+    # is batch b; row r covers the slots edges[r] .. edges[r + 1] - 1
+    edges = [0] + [warmup + (meas * b) // _N_BATCHES for b in range(_N_BATCHES + 1)]
+    rows = _N_BATCHES + 1
+    r_time = [0.0] * rows
+    r_idle = [0] * rows
+    r_slots = [0] * rows
+    r_col = [0] * rows
+    r_bits = [[0.0] * nn for _ in range(rows)]
+    r_air = [[0.0] * nn for _ in range(rows)]
+    r_succ = [[0] * nn for _ in range(rows)]
+    r_energy = [[0.0] * nn for _ in range(rows)]
+    r_cycles = [[0] * nn for _ in range(rows)]
+    e_backoff_sum = [0.0] * nn
+    e_data_sum = [0.0] * nn
 
     occ_a = [np.zeros(w[i], dtype=np.int64) for i in range(nn)] if cfg.track_occupancy else None
     occ_s = [np.zeros(m[i], dtype=np.int64) for i in range(nn)] if cfg.track_occupancy else None
+
+    def occupy(i, was_active, start, due):
+        """Count node i's measured slots start..min(due, total-1) of one phase,
+        in which its counter reads due - slot."""
+        lo = max(start, warmup)
+        hi = min(due, total - 1)
+        if lo <= hi:
+            (occ_a if was_active else occ_s)[i][due - hi:due - lo + 1] += 1
+
+    # A node is due in the slot where its counter reads 0: asleep, it wakes
+    # there and draws its backoff; in backoff, it transmits there. The heap
+    # holds (due, node) packed as due * nn + node, so that nodes due in the
+    # same slot pop in node order: the order of the backoff draws.
+    draw = bounded_draws(np.random.default_rng(cfg.seed))
+    # random sleep phase avoids synchronized starts; warmup does the rest
+    heap = [draw(m[i]) * nn + i for i in range(nn)]
+    heapq.heapify(heap)
+    active = [False] * nn
+    n_active = 0
+    drawn_backoff = [0] * nn
+    phase_start = [0] * nn
+    event_slots = 0
 
     with (open(cfg.trace_path, "w") if cfg.trace_path
           else contextlib.nullcontext()) as trace:
         if trace:
             trace.write("slot,type,transmitters\n")
 
-        slot = 0
-        batch = 0
-        while slot < total:
-            measuring = slot >= warmup
-            if measuring:
-                while batch + 1 < _N_BATCHES and slot >= batch_edges[batch + 1]:
-                    batch += 1
-
-            # bulk-advance runs where every node sleeps with counter >= 1:
-            # guaranteed idle slots with no draws and no wake-ups
-            if trace is None and not any(active):
-                min_c = min(counter)
-                if min_c >= 1:
-                    stop = warmup if not measuring else min(batch_edges[batch + 1], total)
-                    delta = min(min_c, stop - slot)
-                    if delta >= 1:
-                        if measuring:
-                            b_idle[batch] += delta
-                            b_slots[batch] += delta
-                            b_time[batch] += delta * sigma
-                            if cfg.track_occupancy:
-                                for i in range(nn):
-                                    c = counter[i]
-                                    occ_s[i][c - delta + 1:c + 1] += 1
-                        for i in range(nn):
-                            counter[i] -= delta
-                        slot += delta
-                        continue
-
-            transmitters = [i for i in range(nn) if active[i] and counter[i] == 0]
-            if measuring and cfg.track_occupancy:
-                for i in range(nn):
-                    if active[i]:
-                        occ_a[i][counter[i]] += 1
-                    else:
-                        occ_s[i][counter[i]] += 1
-
+        def idle_run(a, b, n_active):
+            """Account the slots a .. b-1, in which no node is due."""
             if trace:
-                kind = ("idle", "success", "collision")[min(len(transmitters), 2)]
-                trace.write(f"{slot},{kind},{'|'.join(map(str, transmitters))}\n")
+                for c in range(a, b, _TRACE_CHUNK):
+                    trace.write("".join(f"{s},idle,\n"
+                                        for s in range(c, min(c + _TRACE_CHUNK, b))))
+            while a < b:
+                r = bisect_right(edges, a, 0, rows) - 1
+                hi = min(edges[r + 1], b)
+                if r:
+                    k = hi - a
+                    r_idle[r] += k
+                    r_slots[r] += k
+                    if n_active or trace:
+                        # sigma once per slot here, k * sigma at once while all
+                        # sleep untraced: the sums of the original slot loop
+                        # (tests/slot_loop_oracle.py), so a seed's results keep
+                        # their bits
+                        t = r_time[r]
+                        for _ in range(k):
+                            t += sigma
+                        r_time[r] = t
+                    else:
+                        r_time[r] += k * sigma
+                a = hi
 
-            if len(transmitters) == 0:
+        push, pop = heapq.heappush, heapq.heappop
+        slot = 0        # every slot before this one is accounted
+        next_edge = 0   # first slot past the current row; 0 finds row 0 or 1
+        while True:
+            s = heap[0] // nn
+            if s >= total:
+                break
+            if s > slot:
+                idle_run(slot, s, n_active)
+            if s >= next_edge:
+                row = bisect_right(edges, s, 0, rows) - 1
+                next_edge = edges[row + 1]
+                air, energy, n_cycles = r_air[row], r_energy[row], r_cycles[row]
+            event_slots += 1
+
+            # the nodes due now, each list in node order
+            base = s * nn
+            lim = base + nn
+            transmitters = []
+            waking = []
+            while heap and heap[0] < lim:
+                i = pop(heap) - base
+                (transmitters if active[i] else waking).append(i)
+            n_tx = len(transmitters)
+            if n_tx == 0:
                 dur = sigma
-                if measuring:
-                    b_idle[batch] += 1
-            elif len(transmitters) == 1:
+                r_idle[row] += 1
+            elif n_tx == 1:
                 i = transmitters[0]
                 dur = t_succ[i]
-                if measuring:
-                    b_succ[batch, i] += 1
-                    b_bits[batch, i] += bits[i]
-                    b_air[batch, i] += dur
+                r_succ[row][i] += 1
+                r_bits[row][i] += bits[i]
+                air[i] += dur
             else:
                 dur = t_col
-                if measuring:
-                    b_col[batch] += 1
-                    for i in transmitters:
-                        b_air[batch, i] += dur
+                r_col[row] += 1
+                for i in transmitters:
+                    air[i] += dur
+            r_slots[row] += 1
+            r_time[row] += dur
+            if trace:
+                kind = ("idle", "success", "collision")[min(n_tx, 2)]
+                trace.write(f"{s},{kind},{'|'.join(map(str, transmitters))}\n")
 
-            if measuring:
-                b_slots[batch] += 1
-                b_time[batch] += dur
+            # transmitters go to sleep, sleeping nodes wake and draw a backoff
+            for i in transmitters:
+                e_bo = difs_pl[i] + drawn_backoff[i] * sigma_pl[i]
+                e_dat = eps_succ[i] if n_tx == 1 else eps_col[i]
+                energy[i] += cycle_const[i] + e_bo + e_dat
+                n_cycles[i] += 1
+                if row:
+                    e_backoff_sum[i] += e_bo
+                    e_data_sum[i] += e_dat
+                active[i] = False
+                if occ_a is not None:
+                    occupy(i, True, phase_start[i], s)
+                    phase_start[i] = s + 1
+                push(heap, (s + m[i]) * nn + i)
+            for i in waking:
+                drawn_backoff[i] = d = draw(w[i])
+                active[i] = True
+                if occ_a is not None:
+                    occupy(i, False, phase_start[i], s)
+                    phase_start[i] = s + 1
+                push(heap, (s + 1 + d) * nn + i)
+            n_active += len(waking) - n_tx
+            slot = s + 1
 
-            # state updates; transmitters sleep, others step their counters
-            for i in range(nn):
-                if active[i]:
-                    if counter[i] == 0:
-                        success = len(transmitters) == 1
-                        if measuring:
-                            e_bo = difs_pl[i] + drawn_backoff[i] * sigma_pl[i]
-                            e_dat = eps_succ[i] if success else eps_col[i]
-                            b_energy[batch, i] += cycle_const[i] + e_bo + e_dat
-                            b_cycles[batch, i] += 1
-                            e_backoff_sum[i] += e_bo
-                            e_data_sum[i] += e_dat
-                        active[i] = False
-                        counter[i] = m[i] - 1
-                    else:
-                        counter[i] -= 1
-                else:
-                    if counter[i] == 0:
-                        active[i] = True
-                        drawn_backoff[i] = int(rng.integers(0, w[i]))
-                        counter[i] = drawn_backoff[i]
-                    else:
-                        counter[i] -= 1
-            slot += 1
+        if slot < total:
+            idle_run(slot, total, n_active)
+    if occ_a is not None:
+        for key in heap:
+            due_at, i = divmod(key, nn)
+            occupy(i, active[i], phase_start[i], due_at)
+
+    b_bits = np.array(r_bits[1:])
+    b_air = np.array(r_air[1:])
+    b_time = np.array(r_time[1:])
+    b_idle = np.array(r_idle[1:], dtype=float)
+    b_succ = np.array(r_succ[1:], dtype=float)
+    b_col = np.array(r_col[1:], dtype=float)
+    b_slots = np.array(r_slots[1:], dtype=float)
+    b_energy = np.array(r_energy[1:])
+    b_cycles = np.array(r_cycles[1:], dtype=float)
 
     time_total = float(b_time.sum())
     slots_total = float(b_slots.sum())
@@ -230,8 +356,8 @@ def simulate(scenario: Scenario, n, w, cfg: SimConfig) -> SimStats:
         p_succ=b_succ.sum(axis=0) / slots_total,
         p_col=float(b_col.sum() / slots_total),
         energy_per_cycle=energy_sum / safe_cycles,
-        energy_backoff=e_backoff_sum / safe_cycles,
-        energy_data=e_data_sum / safe_cycles,
+        energy_backoff=np.array(e_backoff_sum) / safe_cycles,
+        energy_data=np.array(e_data_sum) / safe_cycles,
         total_time=time_total,
         delivered_bits=b_bits.sum(axis=0),
         slots=int(slots_total),
@@ -248,6 +374,8 @@ def simulate(scenario: Scenario, n, w, cfg: SimConfig) -> SimStats:
         occupancy_sleep=occ_s,
         rng_name="PCG64",
         seed=cfg.seed,
+        event_slots=event_slots,
+        wall_time_s=time.perf_counter() - t_start,
     )
     return stats
 

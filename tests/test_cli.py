@@ -10,6 +10,9 @@ from wpcsma.scenario_io import bundled_scenario, save_scenario, scenario_from_di
 from conftest import make_node, make_scenario
 
 
+_EXAMPLE1 = Path(__file__).parent.parent / "src" / "wpcsma" / "data" / "example1.json"
+
+
 def write_scenario(tmp_path, scn, name="scn.json"):
     path = tmp_path / name
     save_scenario(scn, path)
@@ -124,6 +127,10 @@ def test_simulate_trace_flag(tmp_path):
                  "--trace", "--out", str(out)]) == 0
     lines = (out / "trace.csv").read_text().splitlines()
     assert len(lines) == 2001
+    # the slots that wake or transmit some node, from the transmissions
+    sidecar = json.loads((out / "simulate.json").read_text())
+    n_tx = sum(ln.split(",")[1] != "idle" for ln in lines[1:])
+    assert n_tx < sidecar["simulated"]["event_slots"] <= 2000
 
 
 def test_reproduce_exp1(tmp_path):
@@ -190,15 +197,28 @@ def test_exit_code_invalid_input(tmp_path, capsys):
     assert "duty.h" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("config", [
+    '{"max_outer_iters": 1.5}',    # was a TypeError from range()
+    '{"alpha_floor": -1}',         # was a ZeroDivisionError in the pair sweep
+    '{"move_tol": -1}',            # ran silently to the iteration cap
+    '{"max_inner_iters": true}',   # was taken as 1
+    '{"alpha_floor": NaN}',
+])
+def test_bad_optimizer_config_exits_invalid(tmp_path, capsys, config):
+    cpath = tmp_path / "config.json"
+    cpath.write_text(config)
+    code = main(["optimize", "--scenario", str(_EXAMPLE1), "--config", str(cpath),
+                 "--out", str(tmp_path / "o")])
+    assert code == 3
+    assert "invalid input" in capsys.readouterr().err
+
+
 def test_point_length_mismatch(tmp_path):
     scn = make_scenario([make_node(phi=40e-3)])
     spath = write_scenario(tmp_path, scn)
     ppath = write_point(tmp_path, [2.0, 2.0], [0.1, 0.1])
     assert main(["analyze", "--scenario", str(spath), "--point", str(ppath),
                  "--out", str(tmp_path / "o")]) == 3
-
-
-_EXAMPLE1 = Path(__file__).parent.parent / "src" / "wpcsma" / "data" / "example1.json"
 
 
 def _with_field(path, raw):

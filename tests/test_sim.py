@@ -4,9 +4,12 @@ import pytest
 from wpcsma import (InvalidParameterError, SimConfig, alpha_from_tau,
                     empirical_energy_check, evaluate, simulate,
                     stationary_distribution, tau_from_window)
+import wpcsma.sim as sim_mod
+from wpcsma.sim import bounded_draws
 from wpcsma.timing import frame_times
 
 from conftest import PROTO, make_node, make_scenario
+from slot_loop_oracle import simulate_slot_loop
 
 
 def analytical_at_integer_point(scn, n, w):
@@ -142,8 +145,6 @@ def test_trace_file(tmp_path):
 
 def test_trace_file_closed_when_run_raises(tmp_path, monkeypatch):
     # a write that fails mid-run (a full disk) must not leak the open file
-    import wpcsma.sim as sim_mod
-
     opened = []
 
     class FailingFile:
@@ -182,3 +183,103 @@ def test_rejects_bad_integers():
         simulate(scn, [0], [1], cfg)
     with pytest.raises(InvalidParameterError):
         SimConfig(n_slots=100, seed=1, warmup_slots=100)
+
+
+@pytest.mark.parametrize("kw", [
+    {"n_slots": 50_000.5}, {"n_slots": 50_000.0}, {"n_slots": True},
+    {"n_slots": "50000"}, {"warmup_slots": 1.5}, {"warmup_slots": False},
+])
+def test_config_rejects_non_integer_slots(kw):
+    # unchecked, n_slots = 50000.5 measures 49,001 slots and True one slot
+    with pytest.raises(InvalidParameterError):
+        SimConfig(**{"n_slots": 50_000, "warmup_slots": 1_000, **kw})
+
+
+def test_config_accepts_numpy_integers():
+    cfg = SimConfig(n_slots=np.int64(2_000), warmup_slots=np.int32(100))
+    assert simulate(make_scenario([make_node()]), [2], [4], cfg).slots == 1_900
+
+
+# --- the event-loop core against the original slot loop --------------------
+
+_EDGE_BOUNDS = [1, 2, 3, 2**31 + 1, 2**32, 2**32 + 1, 2**40 + 3]
+
+
+@pytest.mark.parametrize("block", [1, 3, 1024])
+@pytest.mark.parametrize("seed", range(5))
+def test_bounded_draws_match_generator_integers(monkeypatch, seed, block):
+    # random bounds with the edge cases mixed into one stream: w = 1 takes no
+    # random word, 2**32 takes one 32-bit half unreduced, and bounds above
+    # 2**32 take whole 64-bit outputs while a kept half waits; small refill
+    # blocks put those cases at the ends of the buffer
+    monkeypatch.setattr(sim_mod, "_DRAW_BLOCK", block)
+    pick = np.random.default_rng(1000 + seed)
+    bounds = [int(v) for v in pick.integers(1, 2**31, 4000)]
+    bounds += [int(v) for v in pick.integers(1, 40, 2000)]
+    bounds += _EDGE_BOUNDS * 40
+    pick.shuffle(bounds)
+    ref = np.random.default_rng(seed)
+    draw = bounded_draws(np.random.default_rng(seed))
+    assert [draw(w) for w in bounds] == [int(ref.integers(0, w)) for w in bounds]
+
+
+def _oracle_cases():
+    cases = []
+    rng = np.random.default_rng(77)
+    for nn in (1, 2, 6, 24):
+        for mixed in (False, True):
+            n = rng.integers(1, 7, nn).tolist()
+            w = rng.integers(1, 33, nn).tolist() if mixed else [1] * nn
+            warmup = 0 if mixed else 1_237
+            cases.append(pytest.param(nn, n, w, warmup,
+                                      id=f"N{nn}-{'mixed' if mixed else 'W1'}-warmup{warmup}"))
+    return cases
+
+
+def _assert_same_stats(a, b):
+    for name, va in vars(a).items():
+        vb = getattr(b, name)
+        if name == "wall_time_s":
+            continue
+        if name == "ci_halfwidth":
+            assert va.keys() == vb.keys()
+            for key in va:
+                assert np.array_equal(va[key], vb[key]), key
+        elif name.startswith("occupancy_"):
+            assert (va is None) == (vb is None), name
+            for ca, cb in zip(va or [], vb or []):
+                assert np.array_equal(ca, cb), name
+        else:
+            assert np.array_equal(va, vb), name
+
+
+@pytest.mark.parametrize("nn, n, w, warmup", _oracle_cases())
+def test_event_core_matches_slot_loop(tmp_path, nn, n, w, warmup):
+    scn = make_scenario([make_node(n_max=6) for _ in range(nn)])
+    n_slots = 24_013   # not a multiple of the 20 batches
+    # untraced, the original summed all-asleep runs in bulk; traced, slot by slot
+    for seed, traced in ((3, False), (4, True)):
+        common = dict(n_slots=n_slots, seed=seed, warmup_slots=warmup,
+                      track_occupancy=True)
+        path = {k: str(tmp_path / f"{k}.csv") if traced else None
+                for k in ("event", "slot")}
+        got = simulate(scn, n, w, SimConfig(trace_path=path["event"], **common))
+        want = simulate_slot_loop(scn, n, w,
+                                  SimConfig(trace_path=path["slot"], **common))
+        _assert_same_stats(got, want)
+        if traced:
+            assert ((tmp_path / "event.csv").read_bytes()
+                    == (tmp_path / "slot.csv").read_bytes())
+
+
+def test_event_slot_telemetry():
+    # one node, W = 1, m = 14: a wake-up and a transmission every 15 slots
+    scn = make_scenario([make_node()])
+    cfg = SimConfig(n_slots=30_000, seed=2, warmup_slots=0)
+    st = simulate(scn, [4], [1], cfg)
+    assert st.event_slots == simulate_slot_loop(scn, [4], [1], cfg).event_slots
+    assert st.event_slots == pytest.approx(2 * 30_000 / 15, abs=2)
+    assert st.wall_time_s > 0.0
+    dense = simulate(make_scenario([make_node() for _ in range(6)]),
+                     [1] * 6, [4] * 6, cfg)
+    assert st.event_slots < dense.event_slots <= cfg.n_slots
