@@ -1,12 +1,14 @@
 """Proportional-fair allocation of samples per cycle and attempt rates.
 
-Maximizes the sum of log throughputs over (n, alpha) subject to the box
-constraints 1 <= n_i <= n_max_i, 0 < alpha_i <= 0.5 and per-node energy
-neutrality. The objective is a difference of concave functions along each
-block, so each block is solved by iterating a linearized surrogate whose
-per-coordinate maximizer (of log x - gamma*x over an interval) is closed
-form; block coordinate descent alternates a full n update with a
-Gauss-Seidel sweep over the alpha coordinates.
+Maximizes the sum of log throughputs U over (n, alpha) subject to the boxes
+1 <= n_i <= n_max_i, 0 < alpha_i <= 0.5 and per-node energy neutrality. In
+z = (log n, log alpha) the channel load is a posynomial, so U is jointly
+concave, the boxes are linear and only the N energy constraints are not
+convex. `solve_bcd` runs one feasible-iterate SQP in z (Panier & Tits, Math.
+Prog. 59, 1993) whose QPs are least-distance problems solved by NNLS
+(Lawson & Hanson, 1974); `check_kkt` certifies its points with multipliers
+from the same NNLS. The one-block solvers (closed-form maximizers of
+log x - gamma*x on an interval) remain for the start point and as tools.
 """
 
 from __future__ import annotations
@@ -41,12 +43,12 @@ class DecisionVector:
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    outer_tol: float = 1e-8       # relative utility change across outer iters
-    inner_tol: float = 1e-10      # relative objective change inside a block
-    max_outer_iters: int = 200
-    max_inner_iters: int = 100
-    alpha_floor: float = 1e-6     # numerical guard at the open alpha > 0 end
-    move_tol: float = 1e-9        # max coordinate move across outer iters
+    outer_tol: float = 1e-8       # relative utility change of one SQP iteration
+    inner_tol: float = 1e-10      # relative objective change inside a block solve
+    max_outer_iters: int = 200    # SQP iterations
+    max_inner_iters: int = 100    # iterations of one block solve
+    alpha_floor: float = 1e-6     # lower alpha box end, guarding the open alpha > 0
+    move_tol: float = 1e-9        # max move of one SQP iteration (n relative, alpha absolute)
 
     def __post_init__(self):
         for name in ("max_outer_iters", "max_inner_iters"):
@@ -219,10 +221,8 @@ def solve_alpha_block(scenario: Scenario, n, alpha, i: int,
     linearized at the current iterate and log(alpha) - gamma*alpha is
     maximized in closed form on the feasible interval.
     """
-    return _solve_alpha_block(model.build(scenario), n, alpha, i, cfg or OptimizerConfig())
-
-
-def _solve_alpha_block(md, n, alpha, i: int, cfg: OptimizerConfig) -> float:
+    cfg = cfg or OptimizerConfig()
+    md = model.build(scenario)
     n = np.asarray(n, dtype=float)
     alpha = np.asarray(alpha, dtype=float).copy()
     lo, hi = _attempt_interval(md, n, alpha, i, cfg.alpha_floor)
@@ -240,183 +240,145 @@ def _solve_alpha_block(md, n, alpha, i: int, cfg: OptimizerConfig) -> float:
     return float(alpha[i])
 
 
-def _any_energy_bound_active(md, n, alpha, rel: float = 1e-7) -> bool:
-    # pair moves only help when an energy constraint pins coordinates;
-    # an alpha pinned by (17)/(18) leaves that node's slack at exactly 0
-    budgets = np.abs(md.f) + np.abs(md.a) * n + md.b / alpha
-    return bool(np.any(model.slacks(md, n, alpha) <= rel * np.maximum(budgets, 1e-30)))
+def _nnls(a, b) -> np.ndarray:
+    """Lawson-Hanson non-negative least squares: argmin ||a x - b|| over x >= 0."""
+    k = a.shape[1]
+    x = np.zeros(k)
+    passive = np.zeros(k, dtype=bool)
+    # rounding error of each gradient entry, which scales with its column
+    tol = 10.0 * np.finfo(float).eps * max(a.shape) * np.abs(a).sum(axis=0) \
+        * max(float(np.abs(b).max(initial=0.0)), 1.0)
+    for _ in range(3 * k):
+        w = a.T @ (b - a @ x) - tol
+        w[passive] = -np.inf
+        if w.max() <= 0.0:
+            break
+        passive[np.argmax(w)] = True
+        while True:
+            z = np.zeros(k)
+            z[passive] = np.linalg.lstsq(a[:, passive], b, rcond=None)[0]
+            if np.all(z[passive] > 0.0):
+                break
+            # step back to the first passive entry that reaches 0, drop it
+            neg = np.flatnonzero(passive & (z <= 0.0))
+            ratio = x[neg] / (x[neg] - z[neg])
+            x += ratio.min() * (z - x)
+            x[neg[np.argmin(ratio)]] = 0.0
+            passive &= x > 0.0
+            x[~passive] = 0.0
+        x = z
+    return x
 
 
-class _PairTerms:
-    """Scalars of the two-coordinate move, fixed for one pass of pair moves.
+def _ldp(e, f):
+    """Least-distance point argmin ||w|| subject to e w >= f, and its
+    multipliers, through NNLS on the dual (Lawson & Hanson, ch. 23).
+    None when the constraints admit no point."""
+    # the problem is homogeneous in f: scale its largest entry to 1, so
+    # that NNLS's tolerance does not swallow a tiny violation
+    top = float(f.max(initial=0.0))
+    if top <= 0.0:
+        return np.zeros(e.shape[1]), np.zeros(e.shape[0])
+    rows = np.vstack([e.T, f / top])
+    target = np.zeros(rows.shape[0])
+    target[-1] = 1.0
+    u = _nnls(rows, target)
+    r = rows @ u - target
+    if -r[-1] <= 1e-12:
+        return None
+    return -top * r[:-1] / r[-1], top * u / -r[-1]
 
-    With t_k = 1 + alpha_k, a move scales t_i by e^d and t_j by e^-d, so
-    prod(1 + alpha) = P stays fixed and, with n fixed, along d:
-      load     X(d) = X0 + s_i (t_i - 1) + s_j (t_j - 1)
-      utility  U(d) = U0 + log(t_i - 1) + log(t_j - 1) - N log X(d)
-      slack_k       = r_k - b_k / (t_k - 1) - K_k t_k
-    with s_k = per_ratio_k n_k + ovh_ratio_k, r_k = f_k - a_k n_k,
-    K_k = (c_k n_k + d_k) / P and X0 the load with both alphas removed.
-    Every other node's slack is invariant. Each step is O(1) float work
-    instead of an O(N) array pass.
-    """
 
-    def __init__(self, md, n, alpha):
-        self.nn = md.n
-        self.s = (md.per_ratio * n + md.ovh_ratio).tolist()
-        self.r = (md.f - md.a * n).tolist()
-        self.k = ((md.c * n + md.d) / float(np.prod(1.0 + alpha))).tolist()
-        self.b = md.b.tolist()
+def _derivatives(md, n, alpha, scale):
+    """Gradient of U and the constraint rows g(z) >= 0 with their gradients,
+    in z = (log n, log alpha): the energy slacks over `scale`, then the lower
+    and the upper boxes."""
+    x = model.load(md, n, alpha)
+    prod = float(np.prod(1.0 + alpha))
+    tau = alpha / (1.0 + alpha)
+    per = md.per_ratio * n * alpha
+    grad = np.concatenate([1.0 - md.n * per / x,
+                           1.0 - md.n * (per + md.ovh_ratio * alpha + prod * tau) / x])
+    q = (1.0 + alpha) / prod      # prod over the other nodes of 1/(1 + alpha_j)
+    jac_x = np.outer((md.c * n + md.d) * q, tau)
+    np.fill_diagonal(jac_x, md.b / alpha)
+    jac = np.hstack([np.diag(-(md.a + md.c * q) * n), jac_x]) / scale[:, None]
+    eye = np.eye(2 * md.n)
+    return grad, np.vstack([jac, eye, -eye])
 
-    def gain(self, i: int, j: int, x0: float, bi: float, bj: float, d: float) -> float:
-        """U(d) - U0 for the pair (i, j) starting at t_i = bi, t_j = bj."""
-        ai = bi * math.exp(d) - 1.0
-        aj = bj * math.exp(-d) - 1.0
-        x = x0 + self.s[i] * ai + self.s[j] * aj
-        return math.log(ai) + math.log(aj) - self.nn * math.log(x)
 
-    def slack(self, k: int, a: float) -> float:
-        """Node k's energy slack at attempt odds a (the pair move's P)."""
-        return self.r[k] - self.b[k] / a - self.k[k] * (1.0 + a)
+def _bounds(md, floor: float):
+    """The boxes 1 <= n <= n_max and floor <= alpha <= 0.5 in z."""
+    return (np.concatenate([np.zeros(md.n), np.full(md.n, math.log(floor))]),
+            np.concatenate([np.log(md.duty.n_max), np.full(md.n, math.log(0.5))]))
 
-    def odds_limit(self, k: int, a0: float, up: bool) -> float | None:
-        """First odds reached from a0 (moving up or down) where node k's slack
-        turns negative, or None when it never does.
 
-        Multiplied by a > 0, slack >= 0 reads q(a) = -K a^2 + (r - K) a - b >= 0.
-        """
-        kk, r, b = self.k[k], self.r[k], self.b[k]
-        if kk == 0.0:
-            if r <= 0.0:
-                return a0
-            return None if up else b / r
-        disc = (r - kk) ** 2 - 4.0 * kk * b
-        if disc < 0.0:
-            return a0 if kk > 0.0 else None
-        # numerically stable roots of the quadratic
-        qq = -0.5 * ((r - kk) + math.copysign(math.sqrt(disc), r - kk))
-        a1, a2 = sorted((qq / -kk, -b / qq))
-        if kk > 0.0:        # feasible set [a1, a2]
-            return a2 if up else a1
-        # kk < 0: feasible set (-inf, a1] and [a2, inf)
-        if up:
-            return a1 if a0 < 0.5 * (a1 + a2) else None
-        return a2 if a0 > 0.5 * (a1 + a2) else None
+def _energy_scale(md) -> np.ndarray:
+    """|f| per node: the solver and the certificate work on slack / |f|."""
+    return np.maximum(np.abs(md.f), 1e-30)
 
-    def ends(self, i: int, j: int, bi: float, bj: float, floor: float):
-        """Feasible step range [d_lo, d_hi] around 0, or None when (almost) empty.
 
-        The boxes floor <= alpha <= 0.5 bound d first; the closed-form roots of
-        the two moving constraints then shrink it, and each end is re-checked
-        with the slack itself (bisecting only if rounding put it outside).
-        """
-        d_hi = min(math.log(1.5 / bi), math.log(bj / (1.0 + floor)))
-        d_lo = max(math.log((1.0 + floor) / bi), math.log(bj / 1.5))
-        if d_hi <= 0.0 or d_lo >= 0.0 or d_hi - d_lo < 1e-12:
+def _qp_step(hess, grad, rows, h):
+    """argmax grad.d - d'Bd/2 subject to rows d >= h, and the multipliers of
+    the rows; with B = LL', a least-distance problem in w = L'd - L^-1 grad."""
+    low = np.linalg.cholesky(hess)
+    d0 = np.linalg.solve(hess, grad)
+    sol = _ldp(np.linalg.solve(low, rows.T).T, h - rows @ d0)
+    if sol is None:
+        return None
+    return d0 + np.linalg.solve(low.T, sol[0]), sol[1]
+
+
+def _feasible_trial(md, z, lo, hi, scale):
+    """z, or z pulled onto the curved energy constraints by at most three
+    minimum-norm corrections, as (z, n, alpha); None when still infeasible."""
+    top = np.concatenate([md.duty.n_max, np.full(md.n, 0.5)])
+    for _ in range(4):
+        z = np.clip(z, lo, hi)
+        # exp(log v) can miss v by an ulp: z at an upper box end gives that end
+        v = np.where(z >= hi, top, np.minimum(np.exp(z), top))
+        n, alpha = v[:md.n], v[md.n:]
+        slack = model.slacks(md, n, alpha)
+        if np.all(slack >= -1e-18):
+            return z, n, alpha
+        rows = _derivatives(md, n, alpha, scale)[1]
+        step = _ldp(rows, np.concatenate([-slack / scale, lo - z, z - hi]))
+        if step is None:
             return None
-        # node i's odds rise with d (t_i = bi e^d), node j's fall (t_j = bj e^-d)
-        for k, t0, sign in ((i, bi, 1.0), (j, bj, -1.0)):
-            for up in (True, False):
-                a = self.odds_limit(k, t0 - 1.0, up)
-                if a is None:
-                    continue
-                # a root at or below -1 lies behind a0: no step that way
-                d = sign * math.log((1.0 + a) / t0) if a > -1.0 else 0.0
-                if up == (sign > 0.0):
-                    d_hi = min(d_hi, d)
-                else:
-                    d_lo = max(d_lo, d)
-
-        def feasible(d):
-            return (self.slack(i, bi * math.exp(d) - 1.0) >= -1e-18
-                    and self.slack(j, bj * math.exp(-d) - 1.0) >= -1e-18)
-
-        d_hi = _feasible_end(feasible, d_hi)
-        d_lo = -_feasible_end(lambda d: feasible(-d), -d_lo)
-        return d_lo, d_hi
+        z = z + step[0]
+    return None
 
 
-def _pair_sweep(md, n, alpha, floor: float) -> float:
-    """One pass of two-coordinate attempt-odds moves; returns the max move.
-
-    A shared active energy constraint pins several alpha coordinates at once
-    (it depends on them only through the product of 1 + alpha), and no single
-    coordinate can then move without breaking feasibility. Scaling
-    (1 + alpha_i) by e^d and (1 + alpha_j) by e^-d leaves every constraint of
-    the other nodes exactly invariant, so a line search along d redistributes
-    attempt odds within the pinned set. Only the pair's own constraints and
-    boxes bound d, and along d everything is scalar (see `_PairTerms`).
-    """
-    terms = _PairTerms(md, n, alpha)
-    moved = 0.0
-    u_cur = _utility_raw(md, n, alpha)
-    x_cur = model.load(md, n, alpha)
-    for i in range(md.n):
-        for j in range(i + 1, md.n):
-            ai0, aj0 = float(alpha[i]), float(alpha[j])
-            bi, bj = 1.0 + ai0, 1.0 + aj0
-            span = terms.ends(i, j, bi, bj, floor)
-            if span is None:
-                continue
-            x0 = x_cur - terms.s[i] * ai0 - terms.s[j] * aj0
-
-            def gain(d):
-                return terms.gain(i, j, x0, bi, bj, d)
-
-            d_best = _line_max(gain, *span)
-            tol = 1e-14 * max(1.0, abs(u_cur))
-            if gain(d_best) - gain(0.0) <= tol:
-                continue
-            trial = alpha.copy()
-            trial[i] = bi * math.exp(d_best) - 1.0
-            trial[j] = bj * math.exp(-d_best) - 1.0
-            u_new = _utility_raw(md, n, trial)
-            if u_new > u_cur + tol:
-                alpha[:] = trial
-                moved = max(moved, abs(alpha[i] - ai0), abs(alpha[j] - aj0))
-                u_cur = u_new
-                x_cur = model.load(md, n, alpha)
-    return moved
+def _line_search(md, z, d, u, lo, hi, scale):
+    """The first of z + d, z + d/2, ... that `_feasible_trial` keeps and whose
+    utility beats u, as (z, n, alpha, utility); None when none does."""
+    t = 1.0
+    while t > 1e-10:
+        trial = _feasible_trial(md, z + t * d, lo, hi, scale)
+        if trial is not None:
+            u_trial = _utility_raw(md, *trial[1:])
+            if u_trial > u:
+                return (*trial, u_trial)
+        t *= 0.5
+    return None
 
 
-def _feasible_end(feasible, d_end: float, iters: int = 60) -> float:
-    """Largest feasible step in [0, d_end]; feasibility holds at 0."""
-    if d_end <= 0.0 or feasible(d_end):
-        return max(d_end, 0.0)
-    lo, hi = 0.0, d_end
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        if feasible(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
-
-
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-def _line_max(fun, lo: float, hi: float, coarse: int = 17,
-              tol: float = 1e-12) -> float:
-    """Deterministic 1-D maximizer: coarse grid then golden-section refine."""
-    grid = np.linspace(lo, hi, coarse).tolist()
-    vals = [fun(g) for g in grid]
-    k = int(np.argmax(vals))
-    a = grid[max(k - 1, 0)]
-    b = grid[min(k + 1, coarse - 1)]
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc, fd = fun(c), fun(d)
-    while b - a > tol:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = fun(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = fun(d)
-    return 0.5 * (a + b)
+def _start(md, cfg: OptimizerConfig):
+    """Best energy-feasible point with one common alpha for every node."""
+    best = None
+    for a in np.geomspace(max(1e-4, cfg.alpha_floor), 0.5, 60):
+        alpha = np.full(md.n, a)
+        try:
+            n = _solve_n_block(md, alpha, np.ones(md.n), cfg)
+        except InfeasibleError as err:
+            error = err           # the last one is the diagnosis at alpha = 0.5
+            continue
+        u = _utility_raw(md, n, alpha)
+        if best is None or u > best[0]:
+            best = (u, n, alpha)
+    if best is None:
+        raise error
+    return best[1], best[2]
 
 
 @dataclass
@@ -436,52 +398,53 @@ class OptResult:
     outer_iters: int
 
 
-def solve_bcd(scenario: Scenario, cfg: OptimizerConfig | None = None,
-              init: DecisionVector | None = None) -> OptResult:
-    """Block coordinate descent over (n, alpha).
+def solve_bcd(scenario: Scenario, cfg: OptimizerConfig | None = None) -> OptResult:
+    """Proportional-fair decision by a feasible-iterate SQP in z = (log n, log alpha).
 
-    Starts from n = 1, alpha = 0.5 (alpha at the top of its box puts the
-    least coupling pressure on the energy constraints); each outer iteration
-    runs the n block, one ascending Gauss-Seidel sweep of the alpha
-    coordinates, and a pass of two-coordinate alpha moves that redistribute
-    attempt odds pinned together by a shared active energy constraint (single
-    coordinates cannot move along such a constraint). Stops when the utility
-    change and the largest coordinate move both fall under their tolerances.
-    Raises InfeasibleError with per-node details when no feasible decision
-    exists.
+    Starts at `_start`. Each iteration's QP maximizes grad U . d - d'Bd/2
+    over the step d, subject to the boxes and the energy slacks over |f|
+    linearized at z; B is a Powell-damped BFGS model of minus the Lagrangian's
+    Hessian. The step is halved until `_feasible_trial` keeps it (every slack
+    >= -1e-18 J) and U rises; if no step does, the iterate stays. From the
+    second iteration on, stops once the utility change and the largest move
+    are within `outer_tol` and `move_tol`. Raises InfeasibleError with
+    per-node details when no common alpha admits feasible sample counts.
     """
     cfg = cfg or OptimizerConfig()
     md = model.build(scenario)
-    if init is not None:
-        n = init.n.copy()
-        alpha = init.alpha.copy()
-    else:
-        n = np.ones(md.n)
-        alpha = np.full(md.n, 0.5)
+    lo, hi = _bounds(md, cfg.alpha_floor)
+    scale = _energy_scale(md)
+    n, alpha = _start(md, cfg)
+    z = np.log(np.concatenate([n, alpha]))
+    u = _utility_raw(md, n, alpha)
+    grad, rows = _derivatives(md, n, alpha, scale)
+    hess = np.eye(2 * md.n)
 
     trace: list[float] = []
     status = "iteration-cap"
-    u_prev = None
     outer = 0
     for outer in range(1, cfg.max_outer_iters + 1):
-        n_before, alpha_before = n.copy(), alpha.copy()
-        n = _solve_n_block(md, alpha, n, cfg)
-        for i in range(md.n):
-            alpha[i] = _solve_alpha_block(md, n, alpha, i, cfg)
-        if md.n > 1 and _any_energy_bound_active(md, n, alpha):
-            _pair_sweep(md, n, alpha, cfg.alpha_floor)
-        u = _utility_raw(md, n, alpha)
+        n_before, alpha_before = n, alpha
+        slack = model.slacks(md, n, alpha) / scale
+        qp = _qp_step(hess, grad, rows,
+                      np.concatenate([-np.maximum(slack, 0.0), lo - z, z - hi]))
+        found = qp and _line_search(md, z, qp[0], u, lo, hi, scale)
+        if found:
+            z_new, n, alpha, u = found
+            grad_new, rows_new = _derivatives(md, n, alpha, scale)
+            # change of the Lagrangian's gradient at the QP's multipliers
+            hess = _bfgs(hess, z_new - z, grad - grad_new + (rows - rows_new).T @ qp[1])
+            z, grad, rows = z_new, grad_new, rows_new
         trace.append(u)
-        if u_prev is not None:
-            du = abs(u - u_prev) / max(1.0, abs(u))
+        if outer > 1:
+            du = abs(u - trace[-2]) / max(1.0, abs(u))
             move = max(float(np.max(np.abs(n - n_before) / np.maximum(1.0, n_before))),
                        float(np.max(np.abs(alpha - alpha_before))))
             if du <= cfg.outer_tol and move <= cfg.move_tol:
                 status = "converged"
                 break
-        u_prev = u
 
-    dv = DecisionVector(n=n, alpha=np.minimum(alpha, 0.5))
+    dv = DecisionVector(n=n, alpha=alpha)
     perf = mac.evaluate(scenario, n, alpha)
     breakdowns = tuple(energy.cycle_energy(scenario, i, n, alpha)
                        for i in range(md.n))
@@ -498,6 +461,18 @@ def solve_bcd(scenario: Scenario, cfg: OptimizerConfig | None = None,
                      integer_n=int_n, integer_w=int_w,
                      integer_feasible=int_feasible,
                      status=status, outer_iters=outer)
+
+
+def _bfgs(hess, s, y):
+    """BFGS update with Powell's damping, which keeps the model positive definite."""
+    hs = hess @ s
+    shs = float(s @ hs)
+    sy = float(s @ y)
+    if sy < 0.2 * shs:
+        theta = 0.8 * shs / (shs - sy)
+        y = theta * y + (1.0 - theta) * hs
+        sy = float(s @ y)
+    return hess + np.outer(y, y) / sy - np.outer(hs, hs) / shs
 
 
 def round_decision(scenario: Scenario, dv: DecisionVector):
@@ -555,7 +530,15 @@ class KktEntry:
 
 @dataclass
 class KktReport:
+    """Per-coordinate entries, and the multiplier certificate in log
+    coordinates: `multipliers` (lambda >= 0, one per name in `active`)
+    minimize ||grad U + sum lambda_k grad g_k||, and `residual` is that norm
+    over max(1, ||grad U||). Energy rows g_k are the slacks over |f|."""
+
     entries: list[KktEntry] = field(default_factory=list)
+    residual: float = math.nan
+    active: list[str] = field(default_factory=list)
+    multipliers: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
     @property
     def ok(self) -> bool:
@@ -569,10 +552,25 @@ def check_kkt(scenario: Scenario, dv: DecisionVector, tol: float = 1e-4,
     For every coordinate, computes the feasible interval with all other
     coordinates fixed and a central finite-difference utility derivative:
     interior coordinates need a near-zero derivative, coordinates at the
-    interval ends need the correctly signed one.
+    interval ends need the correctly signed one; `ok` reads only these.
+    The certificate takes as active the energy slacks within 1e-7 of |f|
+    and the boxes of z at their ends, and finds the multipliers by NNLS.
     """
     md = model.build(scenario)
-    report = KktReport()
+    lo, hi = _bounds(md, OptimizerConfig.alpha_floor)
+    scale = _energy_scale(md)
+    grad, rows = _derivatives(md, dv.n, dv.alpha, scale)
+    z = np.log(np.concatenate([dv.n, dv.alpha]))
+    on = np.concatenate([model.slacks(md, dv.n, dv.alpha) <= 1e-7 * scale,
+                         z - lo <= 1e-9, hi - z <= 1e-9])
+    names = ([f"energy[{i}]" for i in range(md.n)]
+             + [f"{v}[{i}] {end}" for end in ("lower", "upper")
+                for v in ("n", "alpha") for i in range(md.n)])
+    lam = _nnls(rows[on].T, -grad)
+    report = KktReport(
+        residual=float(np.linalg.norm(grad + rows[on].T @ lam)
+                       / max(1.0, float(np.linalg.norm(grad)))),
+        active=[name for name, a in zip(names, on) if a], multipliers=lam)
 
     def central(fun, x):
         # both coordinate kinds are positive; keep x - h on the open side

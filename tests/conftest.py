@@ -79,10 +79,10 @@ def random_point(rng, scn):
     return n, alpha
 
 
-def solve_quiet(scn, cfg=None, init=None):
+def solve_quiet(scn, cfg=None):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        return solve_bcd(scn, cfg, init)
+        return solve_bcd(scn, cfg)
 
 
 @pytest.fixture(scope="session")

@@ -132,6 +132,7 @@ def test_c4_bcd_monotonicity_and_kkt(example1, example2):
         solved += 1
         cases.append((scn, res))
     checked = 0
+    worst = 0.0
     for item in cases:
         if isinstance(item, tuple):
             scn, res = item
@@ -142,10 +143,14 @@ def test_c4_bcd_monotonicity_and_kkt(example1, example2):
         report = check_kkt(scn, res.decision, tol=1e-4)
         bad = [e for e in report.entries if not e.ok]
         assert report.ok, f"KKT failed in {scn.name}: {bad}"
+        assert report.residual <= 1e-4, (
+            f"multiplier residual {report.residual:.2e} in {scn.name}")
+        worst = max(worst, report.residual)
         checked += 1
-    assert _verdict("C4 DC/BCD monotonicity + KKT", checked >= 102,
+    assert _verdict("C4 solver monotonicity + KKT", checked >= 102,
                     f"{checked} solved instances, all monotone, all "
-                    f"first-order optimal at tol 1e-4")
+                    f"first-order optimal at tol 1e-4, worst multiplier "
+                    f"residual {worst:.1e}")
 
 
 def test_c5_inner_solver_oracle():
