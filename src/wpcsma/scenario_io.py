@@ -28,19 +28,21 @@ _PROTOCOL_FIELDS = {
     "l_fcs_bytes": ("l_fcs", 8.0),
 }
 
+# key -> (record of Node, attribute, scale); scale None marks a count, which
+# must be an integer and is emitted as one
 _NODE_FIELDS = {
-    "l_bytes": 8.0,
-    "rate_mbps": 1e6,
-    "n_max": 1,
-    "h_slots": 1,
-    "g_slots": 1,
-    "p_tx_mw": 1e-3,
-    "p_rx_mw": 1e-3,
-    "p_listen_mw": 1e-3,
-    "p_acq_mw": 1e-3,
-    "p_proc_mw": 1e-3,
-    "e_bg_uj": 1e-6,
-    "phi_mw": 1e-3,
+    "l_bytes": ("link", "l", 8.0),
+    "rate_mbps": ("link", "rate", 1e6),
+    "n_max": ("duty", "n_max", None),
+    "h_slots": ("duty", "h", None),
+    "g_slots": ("duty", "g", None),
+    "p_tx_mw": ("power", "p_tx", 1e-3),
+    "p_rx_mw": ("power", "p_rx", 1e-3),
+    "p_listen_mw": ("power", "p_listen", 1e-3),
+    "p_acq_mw": ("power", "p_acq", 1e-3),
+    "p_proc_mw": ("power", "p_proc", 1e-3),
+    "e_bg_uj": ("power", "e_bg", 1e-6),
+    "phi_mw": ("power", "phi", 1e-3),
 }
 _NODE_OPTIONAL = {"e_bg_uj": 0.0}
 
@@ -85,26 +87,22 @@ def scenario_from_dict(doc: dict) -> Scenario:
     for idx, ndoc in enumerate(doc["nodes"]):
         where = f"node {idx}"
         _check_keys(ndoc, _NODE_FIELDS, where)
-        vals = {}
-        for key, scale in _NODE_FIELDS.items():
+        records = {"link": {}, "duty": {}, "power": {}}
+        for key, (record, attr, scale) in _NODE_FIELDS.items():
             if key in _NODE_OPTIONAL and key not in ndoc:
-                vals[key] = _NODE_OPTIONAL[key]
+                v = _NODE_OPTIONAL[key]
             else:
-                vals[key] = _number(ndoc, key, where) * scale
-        for key in ("n_max", "h_slots", "g_slots"):
-            if vals[key] != int(vals[key]):
-                raise InvalidParameterError(f"{where}: {key} must be an integer")
+                v = _number(ndoc, key, where)
+            if scale is None:
+                if v != int(v):
+                    raise InvalidParameterError(f"{where}: {key} must be an integer")
+                records[record][attr] = int(v)
+            else:
+                records[record][attr] = v * scale
         try:
-            node = Node(
-                link=LinkParams(l=vals["l_bytes"], rate=vals["rate_mbps"]),
-                duty=DutyCycle(h=int(vals["h_slots"]), g=int(vals["g_slots"]),
-                               n_max=int(vals["n_max"])),
-                power=PowerProfile(p_tx=vals["p_tx_mw"], p_rx=vals["p_rx_mw"],
-                                   p_listen=vals["p_listen_mw"],
-                                   p_acq=vals["p_acq_mw"],
-                                   p_proc=vals["p_proc_mw"],
-                                   e_bg=vals["e_bg_uj"], phi=vals["phi_mw"]),
-            )
+            node = Node(link=LinkParams(**records["link"]),
+                        duty=DutyCycle(**records["duty"]),
+                        power=PowerProfile(**records["power"]))
         except InvalidParameterError as err:
             raise InvalidParameterError(f"{where}: {err}") from None
         nodes.append(node)
@@ -121,20 +119,11 @@ def scenario_to_dict(scn: Scenario) -> dict:
     for key, (attr, scale) in _PROTOCOL_FIELDS.items():
         doc["protocol"][key] = getattr(scn.protocol, attr) / scale
     for node in scn.nodes:
-        doc["nodes"].append({
-            "l_bytes": node.link.l / 8.0,
-            "rate_mbps": node.link.rate / 1e6,
-            "n_max": node.duty.n_max,
-            "h_slots": node.duty.h,
-            "g_slots": node.duty.g,
-            "p_tx_mw": node.power.p_tx / 1e-3,
-            "p_rx_mw": node.power.p_rx / 1e-3,
-            "p_listen_mw": node.power.p_listen / 1e-3,
-            "p_acq_mw": node.power.p_acq / 1e-3,
-            "p_proc_mw": node.power.p_proc / 1e-3,
-            "e_bg_uj": node.power.e_bg / 1e-6,
-            "phi_mw": node.power.phi / 1e-3,
-        })
+        node_doc = {}
+        for key, (record, attr, scale) in _NODE_FIELDS.items():
+            v = getattr(getattr(node, record), attr)
+            node_doc[key] = int(v) if scale is None else v / scale
+        doc["nodes"].append(node_doc)
     return doc
 
 

@@ -240,11 +240,11 @@ def simulate(scenario: Scenario, n, w, cfg: SimConfig) -> SimStats:
                     k = hi - a
                     r_idle[r] += k
                     r_slots[r] += k
-                    if n_active or trace:
+                    if n_active:
                         # sigma once per slot here, k * sigma at once while all
-                        # sleep untraced: the sums of the original slot loop
+                        # sleep: the sums of the original slot loop
                         # (tests/slot_loop_oracle.py), so a seed's results keep
-                        # their bits
+                        # their bits, traced or not
                         t = r_time[r]
                         for _ in range(k):
                             t += sigma

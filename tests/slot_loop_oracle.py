@@ -2,6 +2,8 @@
 
 This is the simulator's original core: one Python iteration per MAC slot
 with O(N) work in each, skipping ahead in bulk only while every node sleeps.
+A traced run skips ahead the same way and writes an idle line per skipped
+slot, so that tracing leaves the sums, and so the results, as they are.
 `wpcsma.sim.simulate` replaces it with an event loop that must give the same
 `SimStats` bit for bit, and the same trace file byte for byte, for every
 seed; `tests/test_sim.py` holds the two against each other. The only
@@ -96,12 +98,15 @@ def simulate_slot_loop(scenario, n, w, cfg) -> SimStats:
 
             # bulk-advance runs where every node sleeps with counter >= 1:
             # guaranteed idle slots with no draws and no wake-ups
-            if trace is None and not any(active):
+            if not any(active):
                 min_c = min(counter)
                 if min_c >= 1:
                     stop = warmup if not measuring else min(batch_edges[batch + 1], total)
                     delta = min(min_c, stop - slot)
                     if delta >= 1:
+                        if trace:
+                            trace.write("".join(f"{s},idle,\n"
+                                                for s in range(slot, slot + delta)))
                         if measuring:
                             b_idle[batch] += delta
                             b_slots[batch] += delta

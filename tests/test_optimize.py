@@ -12,7 +12,8 @@ from wpcsma.energy import cycle_energy
 from wpcsma.mac import alpha_from_tau, tau_from_window
 from wpcsma.model import build, load, slacks
 from wpcsma.optimize import (argmax_log_minus_linear, attempt_interval,
-                             round_decision, sample_intervals, _utility_raw)
+                             round_decision, sample_intervals, _derivatives,
+                             _energy_scale, _utility_raw)
 from wpcsma.scenario_io import scenario_from_dict
 from wpcsma.timing import frame_times
 
@@ -373,8 +374,8 @@ def test_kkt_certificate_known_multipliers():
 def test_kkt_certificate_sees_a_pinned_suboptimal_point(solved_example1, example1):
     # slide along node 0's active energy constraint: raise alpha[0] by 5% and
     # scale the other alphas down until node 0's slack is 0 again. Each alpha
-    # alone is then held at its lower end by that constraint, so the
-    # per-coordinate test passes, but the point is not first-order optimal
+    # alone is then held at its lower end by that constraint, so no single
+    # coordinate can move, but the point is not first-order optimal
     md = build(example1)
     n = solved_example1.decision.n
     base = solved_example1.decision.alpha * np.r_[1.05, np.ones(5)]
@@ -391,10 +392,42 @@ def test_kkt_certificate_sees_a_pinned_suboptimal_point(solved_example1, example
             infeasible = mid
     dv = DecisionVector(n=n, alpha=scaled(feasible))
     report = check_kkt(example1, dv)
-    assert report.ok
+    assert not report.ok
+    assert any(e.name.startswith("alpha[") and not e.ok for e in report.entries)
     assert utility(example1, dv) < solved_example1.utility
     assert "energy[0]" in report.active
     assert report.residual > 1e-3
+
+
+@pytest.mark.parametrize("nn", [1, 6, 24])
+def test_derivatives_match_central_differences(nn):
+    # check_kkt's verdict rests on the analytic gradient and energy Jacobian
+    # alone: hold both against central differences in z = (log n, log alpha)
+    rng = np.random.default_rng(100 + nn)
+    h = 1e-6
+    for _ in range(3):
+        scn = random_scenario(rng, nn)
+        md = build(scn)
+        scale = _energy_scale(md)
+        n, alpha = random_point(rng, scn)
+        z = np.log(np.concatenate([n, alpha]))
+        grad, rows = _derivatives(md, n, alpha, scale)
+        assert rows.shape == (5 * nn, 2 * nn)
+        grad_fd = np.empty(2 * nn)
+        jac_fd = np.empty((nn, 2 * nn))
+        for k in range(2 * nn):
+            step = np.zeros(2 * nn)
+            step[k] = h
+            up, down = np.exp(z + step), np.exp(z - step)
+            grad_fd[k] = (_utility_raw(md, up[:nn], up[nn:])
+                          - _utility_raw(md, down[:nn], down[nn:])) / (2 * h)
+            jac_fd[:, k] = (slacks(md, up[:nn], up[nn:])
+                            - slacks(md, down[:nn], down[nn:])) / (2 * h)
+        assert grad == pytest.approx(grad_fd, rel=1e-6, abs=1e-6 * np.abs(grad).max())
+        jac = rows[:nn] * scale[:, None]
+        for i in range(nn):
+            assert jac[i] == pytest.approx(jac_fd[i], rel=1e-6,
+                                           abs=1e-6 * np.abs(jac[i]).max())
 
 
 def test_bcd_reaches_the_joint_optimum_on_gen48():
@@ -405,5 +438,6 @@ def test_bcd_reaches_the_joint_optimum_on_gen48():
     res = solve_quiet(scn)
     assert res.status == "converged"
     assert res.utility >= 546.4946862 * (1.0 - 1e-9)
-    assert check_kkt(scn, res.decision).residual <= 1e-6
+    report = check_kkt(scn, res.decision)
+    assert report.ok and report.residual <= 1e-6
     assert np.all(res.slacks >= -1e-18)

@@ -6,7 +6,7 @@ import pytest
 from wpcsma import InvalidParameterError, bundled_scenario, load_scenario, save_scenario
 from wpcsma.scenario_io import scenario_from_dict, scenario_to_dict
 
-from conftest import random_scenario_doc
+from conftest import random_scenario, random_scenario_doc
 
 
 def minimal_doc():
@@ -143,3 +143,17 @@ def test_programmatic_emit_has_unit_fields():
     assert doc["protocol"]["sigma_us"] == pytest.approx(9.0)
     assert doc["nodes"][0]["l_bytes"] == pytest.approx(50.0)
     assert doc["nodes"][0]["rate_mbps"] == pytest.approx(11.0)
+
+
+def test_programmatic_round_trip_keeps_every_field():
+    # scenarios built in code carry no unit document, so scenario_to_dict
+    # converts every field back to its unit; counts stay JSON integers
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        scn = random_scenario(rng, int(rng.integers(1, 25)))
+        bare = scn.__class__(protocol=scn.protocol, nodes=scn.nodes, name="bare")
+        doc = json.loads(json.dumps(scenario_to_dict(bare)))
+        assert scenario_from_dict(doc) == bare
+        for node in doc["nodes"]:
+            assert all(isinstance(node[k], int)
+                       for k in ("n_max", "h_slots", "g_slots"))

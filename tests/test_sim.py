@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from wpcsma import (InvalidParameterError, SimConfig, alpha_from_tau,
-                    empirical_energy_check, evaluate, simulate,
-                    stationary_distribution, tau_from_window)
+                    bundled_scenario, empirical_energy_check, evaluate,
+                    simulate, stationary_distribution, tau_from_window)
 import wpcsma.sim as sim_mod
 from wpcsma.sim import bounded_draws
 from wpcsma.timing import frame_times
@@ -131,16 +131,21 @@ def test_trace_file(tmp_path):
     path = tmp_path / "trace.csv"
     cfg = SimConfig(n_slots=500, seed=1, warmup_slots=0,
                     trace_path=str(path))
-    st = simulate(scn, [2], [2], cfg)
+    simulate(scn, [2], [2], cfg)
     lines = path.read_text().splitlines()
     assert lines[0] == "slot,type,transmitters"
     assert len(lines) == 501
     kinds = {ln.split(",")[1] for ln in lines[1:]}
     assert kinds <= {"idle", "success", "collision"}
-    # tracing must not change the statistics
-    st2 = simulate(scn, [2], [2], SimConfig(n_slots=500, seed=1,
-                                            warmup_slots=0))
-    assert np.array_equal(st.throughput, st2.throughput)
+    # tracing must not change the statistics: example1 at n = n_max has long
+    # all-asleep runs, whose time is summed as k * sigma traced or not
+    scn = bundled_scenario("example1")
+    n = [node.duty.n_max for node in scn.nodes]
+    common = dict(n_slots=200_000, seed=1, warmup_slots=10_000)
+    for window in (16, 1):
+        w = [window] * scn.n_nodes
+        traced = simulate(scn, n, w, SimConfig(trace_path=str(path), **common))
+        _assert_same_stats(traced, simulate(scn, n, w, SimConfig(**common)))
 
 
 def test_trace_file_closed_when_run_raises(tmp_path, monkeypatch):
@@ -257,7 +262,6 @@ def _assert_same_stats(a, b):
 def test_event_core_matches_slot_loop(tmp_path, nn, n, w, warmup):
     scn = make_scenario([make_node(n_max=6) for _ in range(nn)])
     n_slots = 24_013   # not a multiple of the 20 batches
-    # untraced, the original summed all-asleep runs in bulk; traced, slot by slot
     for seed, traced in ((3, False), (4, True)):
         common = dict(n_slots=n_slots, seed=seed, warmup_slots=warmup,
                       track_occupancy=True)
