@@ -168,13 +168,22 @@ def cmd_optimize(args) -> int:
 
 
 def integer_point(scenario, dv: DecisionVector):
-    """Integer (n, W) nearest to a continuous decision, W clamped >= 1."""
+    """Integer (n, W) nearest to a continuous decision, W clamped >= 1.
+
+    A window that does not fit a 64-bit integer is refused, not wrapped.
+    """
     n_int = np.maximum(1, np.rint(dv.n).astype(int))
     n_int = np.minimum(n_int, [nd.duty.n_max for nd in scenario.nodes])
     m_int = np.array([nd.duty.sleep_slots(v)
                       for nd, v in zip(scenario.nodes, n_int)])
-    w = mac.window_from_alpha(dv.alpha, m_int)
-    w_int = np.maximum(1, np.rint(w).astype(int))
+    w = np.rint(mac.window_from_alpha(dv.alpha, m_int))
+    too_wide = np.flatnonzero(~(w < 2.0 ** 63))
+    if too_wide.size:
+        i = too_wide[0]
+        raise InvalidParameterError(
+            f"node {i}: alpha {float(dv.alpha[i])!r} gives the window {w[i]:.6g}, "
+            f"which does not fit a 64-bit integer")
+    w_int = np.maximum(1, w.astype(np.int64))
     return n_int, w_int
 
 

@@ -9,10 +9,15 @@ time, kept deliberately). A node whose fresh backoff draw is 0 transmits in
 the following slot. Collided packets are dropped and the node sleeps; there
 are no retransmissions.
 
-Because every counter steps once per slot, the slot where a node's counter
-reads 0 (where it wakes and draws a backoff, or transmits) is known as soon
-as the counter is set. The core is an event loop over those slots: the
-slots between them are idle and are accounted a run at a time.
+Because every counter steps once per slot, a node's schedule does not depend
+on the other nodes: it wakes where its sleep counter reads 0, draws a backoff
+d, transmits d + 1 slots later and wakes again m slots after that. Only the
+order of the draws couples the nodes. The core therefore runs in two passes
+over each piece of at most `_PIECE_SLOTS` slots: a Python loop over the
+wake-ups alone, which draws the backoffs in order and records the wake
+slots, then numpy arrays over the piece's slots for the slot kinds, the
+counters and the float sums, each sum added in the order of the original
+slot loop.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ import contextlib
 import heapq
 import numbers
 import time
-from bisect import bisect_right
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,7 +39,7 @@ from . import mac, model
 _N_BATCHES = 20
 _T_CRIT_19 = 2.093024054408263  # two-sided 95% Student t, 19 dof
 _DRAW_BLOCK = 1024              # raw 64-bit outputs fetched per refill
-_TRACE_CHUNK = 4096             # idle trace lines joined per write
+_PIECE_SLOTS = 4096             # slots accounted per numpy pass
 _MASK32 = (1 << 32) - 1
 _MASK64 = (1 << 64) - 1
 
@@ -48,10 +53,11 @@ class SimConfig:
     trace_path: str | None = None   # per-slot CSV: slot,type,transmitters
 
     def __post_init__(self):
-        for name in ("n_slots", "warmup_slots"):
+        for name in ("n_slots", "warmup_slots", "seed"):
             v = getattr(self, name)
             require(isinstance(v, numbers.Integral) and not isinstance(v, bool),
                     f"{name} must be an integer, got {v!r}")
+        require(self.seed >= 0, "seed must be >= 0")
         require(self.warmup_slots >= 0, "warmup_slots must be >= 0")
         require(self.n_slots > self.warmup_slots,
                 "n_slots must exceed warmup_slots")
@@ -82,8 +88,8 @@ class SimStats:
     wall_time_s: float = 0.0      # host seconds spent in `simulate`
 
 
-def bounded_draws(rng: np.random.Generator):
-    """Return `draw(w)`: an integer uniform on [0, w), `rng.integers(0, w)`'s value.
+class BoundedDraws:
+    """`draw(w)`: an integer uniform on [0, w), `rng.integers(0, w)`'s value.
 
     Successive draws equal what successive `rng.integers(0, w)` calls on the
     same generator return. numpy reduces a bound w <= 2**32 with Lemire's
@@ -94,57 +100,196 @@ def bounded_draws(rng: np.random.Generator):
     this on blocks of raw outputs (`random_raw`), at a fraction of the cost
     of a Generator call. The generator runs ahead of the draws, so it must
     not be used for anything else afterwards.
-    """
-    raw = rng.bit_generator.random_raw
-    buf: list[int] = []   # halves of raw outputs: low, high, low, high, ...
-    pos = 0               # next half; odd while an output's high half is kept
 
-    def fill():
-        nonlocal buf, pos
-        words = raw(_DRAW_BLOCK)
+    `buf` holds the halves of raw outputs (low, high, low, high, ...) and
+    `pos` the next unused half, odd while an output's high half is kept. A
+    caller may take a 32-bit draw from `buf[pos]` itself and step `pos`, as
+    `simulate` does; `pos` must be stored back before the next call.
+    """
+
+    def __init__(self, rng: np.random.Generator):
+        self._raw = rng.bit_generator.random_raw
+        self.buf: list[int] = []
+        self.pos = 0
+
+    def _fill(self):
+        words = self._raw(_DRAW_BLOCK)
         halves = np.empty(2 * _DRAW_BLOCK, dtype=np.uint64)
         halves[0::2] = words & _MASK32
         halves[1::2] = words >> 32
         # a kept high half stays next, after its output's (used) low half
-        buf = buf[pos - (pos & 1):] + halves.tolist()
-        pos &= 1
+        pos = self.pos
+        self.buf = self.buf[pos - (pos & 1):] + halves.tolist()
+        self.pos = pos & 1
 
-    def next64():
-        nonlocal pos
-        if pos + (pos & 1) + 2 > len(buf):
-            fill()
+    def _next64(self) -> int:
+        pos = self.pos
+        if pos + (pos & 1) + 2 > len(self.buf):
+            self._fill()
+            pos = self.pos
+        buf = self.buf
         j = pos + (pos & 1)
         word = buf[j] | buf[j + 1] << 32
         if pos & 1:
             buf[j + 1] = buf[pos]   # the kept half moves past the used output
-        pos += 2
+        self.pos = pos + 2
         return word
 
-    def draw(w: int) -> int:
-        nonlocal pos
+    def _next32(self) -> int:
+        if self.pos == len(self.buf):
+            self._fill()
+        self.pos += 1
+        return self.buf[self.pos - 1]
+
+    def __call__(self, w: int) -> int:
         if w == 1:
             return 0
         if w > 1 << 32:
-            x = next64() * w
+            x = self._next64() * w
             if x & _MASK64 < w:
                 t = ((1 << 64) - w) % w
                 while x & _MASK64 < t:
-                    x = next64() * w
+                    x = self._next64() * w
             return x >> 64
-        if pos == len(buf):
-            fill()
-        x = buf[pos] * w
-        pos += 1
+        x = self._next32() * w
         if x & _MASK32 < w:
             t = ((1 << 32) - w) % w
             while x & _MASK32 < t:
-                if pos == len(buf):
-                    fill()
-                x = buf[pos] * w
-                pos += 1
+                x = self._next32() * w
         return x >> 32
 
-    return draw
+
+def _node_integers(name: str, values, nn: int) -> list[int]:
+    """One Python int >= 1 per node; bools and non-integers are refused."""
+    vals = np.asarray(values, dtype=object)
+    require(vals.shape == (nn,), "n and w must have one entry per node")
+    for i, v in enumerate(vals):
+        if not isinstance(v, numbers.Integral) or isinstance(v, bool) or v < 1:
+            raise InvalidParameterError(
+                f"node {i}: {name} must be an integer >= 1, got {v!r}")
+    return [int(v) for v in vals]
+
+
+def _add_time(start: float, dur, asleep, run: int, sigma: float, row_goes_on: bool):
+    """A row's time after a piece, and the length of an all-asleep run left
+    open at the piece's end.
+
+    The piece's terms are added to `start` strictly left to right, in slot
+    order: `dur` holds each slot's term (an event slot's duration, sigma for
+    an idle one), and a run of `asleep` slots (idle, every node asleep) adds
+    k * sigma once instead. `run` is the length of such a run that reached
+    the piece's start; a run that reaches the piece's end is left open while
+    the row goes on.
+    """
+    flips = np.flatnonzero(np.diff(asleep, prepend=False, append=False))
+    starts, stops = flips[0::2], flips[1::2]
+    k = stops - starts
+    lead = []
+    if run:
+        if starts.size and starts[0] == 0:
+            k[0] += run
+        else:
+            lead = [run * sigma]
+    run = 0
+    if row_goes_on and stops.size and stops[-1] == len(dur):
+        run = int(k[-1])
+        starts, k = starts[:-1], k[:-1]
+    keep = ~asleep
+    keep[starts] = True
+    dur[starts] = k * sigma
+    terms = np.concatenate(([start], lead, dur[keep]))
+    return float(np.add.accumulate(terms)[-1]), run
+
+
+def _fold_by_node(accs, ti, rank, columns) -> None:
+    """Add each column to its per-node accumulator, value by value in order.
+
+    The values are ordered by node, each node's in slot order, and `rank`
+    is a value's place (1, 2, ...) among its node's. Row j of a grid holds
+    every node's j-th value, so one accumulate down the rows adds each
+    node's values in their order.
+    """
+    grid = np.empty((1 + int(rank.max(initial=0)), len(accs[0])))
+    for acc, col in zip(accs, columns):
+        grid[0] = acc
+        grid[1:] = 0.0
+        grid[rank, ti] = col
+        acc[:] = np.add.accumulate(grid, axis=0, out=grid)[-1]
+
+
+def _trace_text(p0: int, p1: int, x, ti) -> str:
+    """Trace lines of the slots p0 .. p1-1, whose transmissions are made by
+    the nodes `ti` at the slot offsets `x`."""
+    lines = [f"{s},idle,\n" for s in range(p0, p1)]
+    by_slot: dict[int, list[int]] = {}
+    order = np.lexsort((ti, x))   # by slot, then node
+    for off, i in zip(x[order].tolist(), ti[order].tolist()):
+        by_slot.setdefault(off, []).append(i)
+    for off, who in by_slot.items():
+        kind = "success" if len(who) == 1 else "collision"
+        lines[off] = f"{p0 + off},{kind},{'|'.join(map(str, who))}\n"
+    return "".join(lines)
+
+
+def _wake_ups(heap: list, draw: BoundedDraws, lemire: list, w: list, step: list,
+              lim: int) -> array:
+    """Pop every wake-up key below `lim` (wake * nn + node) in order, draw
+    its backoff d and push the node's next wake-up; return the keys.
+
+    The common draw, a 32-bit half that Lemire's test accepts at once, is
+    taken from `draw`'s buffer here: `lemire` holds each node's bound for it
+    (0 for w = 1, which draws 0 and takes no half; 2**32, which no half
+    passes, for w >= 2**32). Anything else goes to `draw` itself.
+    """
+    nn = len(w)
+    keys = array("q")
+    put = keys.append
+    replace = heapq.heapreplace
+    buf, pos = draw.buf, draw.pos
+    n_buf = len(buf)
+    while heap[0] < lim:
+        key = heap[0]
+        i = key % nn
+        v = lemire[i]
+        if pos < n_buf and (x := buf[pos] * v) & _MASK32 >= v:
+            d = x >> 32
+            pos += v > 0
+        else:
+            draw.pos = pos
+            d = draw(w[i])
+            buf, pos = draw.buf, draw.pos
+            n_buf = len(buf)
+        put(key)
+        replace(heap, key + step[i] + d * nn)
+    draw.pos = pos
+    return keys
+
+
+def _schedule(keys: array, held_s, held_i, heap: list, far: int, m_arr, total: int):
+    """The wake-ups of a piece with their transmission slots.
+
+    Returns (s, node, t, fresh) over the held wake-ups (`held_s`, `held_i`)
+    and the piece's own (`keys`), ordered by node and each node's by slot:
+    the wake slot, the node, the transmission slot clipped at `total`, and
+    whether the wake-up is the piece's own. A transmission is the node's
+    next wake-up minus m: its next one here or, for its last, its key in the
+    heap, read no later than `far`.
+    """
+    nn = len(m_arr)
+    key = np.frombuffer(keys, dtype=np.int64)
+    node = np.concatenate((held_i, key % nn))
+    order = np.argsort(node, kind="stable")
+    node = node[order]
+    s = np.concatenate((held_s, key // nn))[order]
+    ahead = np.empty(nn, dtype=np.int64)
+    for k in heap:
+        ahead[k % nn] = min(k // nn, far)
+    nxt = np.empty_like(s)
+    nxt[:-1] = s[1:]
+    last = np.ones(len(node), dtype=bool)   # a node's last wake-up here
+    last[:-1] = node[1:] != node[:-1]
+    nxt[last] = ahead[node[last]]
+    return s, node, np.minimum(nxt - m_arr[node], total), order >= len(held_s)
 
 
 def simulate(scenario: Scenario, n, w, cfg: SimConfig) -> SimStats:
@@ -155,26 +300,21 @@ def simulate(scenario: Scenario, n, w, cfg: SimConfig) -> SimStats:
     """
     t_start = time.perf_counter()
     nn = scenario.n_nodes
-    n = [int(v) for v in np.asarray(n)]
-    w = [int(v) for v in np.asarray(w)]
-    require(len(n) == nn and len(w) == nn, "n and w must have one entry per node")
-    for i in range(nn):
-        if w[i] < 1:
-            raise InvalidParameterError(f"node {i}: window must be an integer >= 1")
-        if n[i] < 1:
-            raise InvalidParameterError(f"node {i}: samples must be an integer >= 1")
-    # per-node constants of the run, as Python floats for the event loop
+    n = _node_integers("samples", n, nn)
+    w = _node_integers("window", w, nn)
+    # per-node constants of the run, indexed by node
     p = scenario.protocol
     md = model.build(scenario)
     n_arr = np.array(n)
     m = [int(v) for v in n_arr * md.duty.h + md.duty.g]
-    t_succ = md.times.success(n_arr).tolist()
-    bits = (n_arr * md.payload).tolist()
-    eps_succ = energy_model.success_transmit_energy(p, md.power, md.times, n_arr).tolist()
-    eps_col = energy_model.collision_transmit_energy(p, md.power, md.times).tolist()
-    sigma_pl = (p.sigma * md.power.p_listen).tolist()
-    difs_pl = (p.t_difs * md.power.p_listen).tolist()
-    cycle_const = energy_model.fixed_energy(p, md.power, md.duty, n_arr)[2].tolist()
+    m_arr = np.array(m)
+    t_succ = md.times.success(n_arr)
+    bits = n_arr * md.payload
+    eps_succ = energy_model.success_transmit_energy(p, md.power, md.times, n_arr)
+    eps_col = energy_model.collision_transmit_energy(p, md.power, md.times)
+    sigma_pl = p.sigma * md.power.p_listen
+    difs_pl = p.t_difs * md.power.p_listen
+    cycle_const = energy_model.fixed_energy(p, md.power, md.duty, n_arr)[2]
     t_col = md.t_col
     sigma = p.sigma
 
@@ -185,158 +325,150 @@ def simulate(scenario: Scenario, n, w, cfg: SimConfig) -> SimStats:
     # is batch b; row r covers the slots edges[r] .. edges[r + 1] - 1
     edges = [0] + [warmup + (meas * b) // _N_BATCHES for b in range(_N_BATCHES + 1)]
     rows = _N_BATCHES + 1
-    r_time = [0.0] * rows
-    r_idle = [0] * rows
-    r_slots = [0] * rows
-    r_col = [0] * rows
-    r_bits = [[0.0] * nn for _ in range(rows)]
-    r_air = [[0.0] * nn for _ in range(rows)]
-    r_succ = [[0] * nn for _ in range(rows)]
-    r_energy = [[0.0] * nn for _ in range(rows)]
-    r_cycles = [[0] * nn for _ in range(rows)]
-    e_backoff_sum = [0.0] * nn
-    e_data_sum = [0.0] * nn
+    r_time = np.zeros(rows)
+    r_idle = np.zeros(rows, dtype=np.int64)
+    r_col = np.zeros(rows, dtype=np.int64)
+    r_slots = np.zeros(rows, dtype=np.int64)
+    r_succ = np.zeros((rows, nn), dtype=np.int64)
+    r_cycles = np.zeros((rows, nn), dtype=np.int64)
+    r_sums = np.zeros((rows, 3, nn))   # per node: air time, bits, energy
+    e_parts = np.zeros((2, nn))        # per node: e_backoff, e_data, rows >= 1
 
-    occ_a = [np.zeros(w[i], dtype=np.int64) for i in range(nn)] if cfg.track_occupancy else None
-    occ_s = [np.zeros(m[i], dtype=np.int64) for i in range(nn)] if cfg.track_occupancy else None
+    occupancy = cfg.track_occupancy
+    if occupancy:
+        # per node, a histogram of the top counter value of its phases: a
+        # phase that reads hi, hi-1, ..., 0 in measured slots adds 1 at hi,
+        # and the count at k is the number of phases that reach k or above
+        off_a = np.concatenate(([0], np.cumsum(w)))
+        off_s = np.concatenate(([0], np.cumsum(m)))
+        hist_a = np.zeros(off_a[-1], dtype=np.int64)
+        hist_s = np.zeros(off_s[-1], dtype=np.int64)
+        open_wake = {}   # node: wake slot of a backoff that ends past the run
 
-    def occupy(i, was_active, start, due):
-        """Count node i's measured slots start..min(due, total-1) of one phase,
-        in which its counter reads due - slot."""
-        lo = max(start, warmup)
-        hi = min(due, total - 1)
-        if lo <= hi:
-            (occ_a if was_active else occ_s)[i][due - hi:due - lo + 1] += 1
-
-    # A node is due in the slot where its counter reads 0: asleep, it wakes
-    # there and draws its backoff; in backoff, it transmits there. The heap
-    # holds (due, node) packed as due * nn + node, so that nodes due in the
-    # same slot pop in node order: the order of the backoff draws.
-    draw = bounded_draws(np.random.default_rng(cfg.seed))
+    # The heap holds each node's next wake-up as wake * nn + node, so that
+    # nodes waking in one slot pop in node order: the order of the draws. A
+    # node that wakes at s with draw d transmits at s + 1 + d and wakes again
+    # at s + 1 + d + m, so its key grows by step + d * nn.
+    draw = BoundedDraws(np.random.default_rng(cfg.seed))
     # random sleep phase avoids synchronized starts; warmup does the rest
     heap = [draw(m[i]) * nn + i for i in range(nn)]
     heapq.heapify(heap)
-    active = [False] * nn
-    n_active = 0
-    drawn_backoff = [0] * nn
-    phase_start = [0] * nn
+    step = [(1 + m_i) * nn for m_i in m]
+    lemire = [0 if v == 1 else min(v, 1 << 32) for v in w]   # see _wake_ups
+    far = total + max(m)   # a wake-up this late ends its backoff past the run
+    held_s = held_i = np.zeros(0, dtype=np.int64)   # transmitting after the piece
+    n_backoff = 0   # nodes in backoff as the piece starts
+    run = 0         # an all-asleep run up to the piece's start, not yet summed
     event_slots = 0
+
+    def pass2(r: int, p0: int, p1: int, keys: array) -> None:
+        """Account the slots p0 .. p1-1 of row r, whose wake-ups pass 1 drew.
+
+        Its arrays go when it returns, before the next piece's pass 1 refills
+        the draw buffer, so that one piece's arrays are alive at a time.
+        """
+        nonlocal held_s, held_i, n_backoff, run, event_slots
+        size = p1 - p0
+        s, node, t, fresh = _schedule(keys, held_s, held_i, heap, far, m_arr, total)
+        woke = s[fresh]
+        if occupancy:
+            fi, ft = node[fresh], t[fresh]
+            hit = woke >= warmup
+            np.add.at(hist_s, off_s[fi[hit]]
+                      + np.minimum(m_arr[fi[hit]] - 1, woke[hit] - warmup), 1)
+            hit = (ft < total) & (ft >= warmup)
+            np.add.at(hist_a, off_a[fi[hit]]
+                      + np.minimum(ft[hit] - woke[hit] - 1, ft[hit] - warmup), 1)
+            for i, wake in zip(fi[ft == total].tolist(), woke[ft == total].tolist()):
+                open_wake[i] = wake
+        due = t < p1
+        held_s, held_i = s[~due], node[~due]
+        ti, tt = node[due], t[due]
+        td = tt - s[due] - 1
+        x = tt - p0
+        n_tx = np.bincount(x, minlength=size)
+        event = n_tx > 0
+        event[woke - p0] = True
+        event_slots += int(np.count_nonzero(event))
+        # a node is in backoff from the slot after its wake-up up to
+        # the slot before its transmission
+        in_backoff = n_backoff + np.cumsum(
+            np.bincount(woke + 1 - p0, minlength=size + 1)[:size] - n_tx)
+        n_backoff += len(woke) - len(tt)
+        del keys, s, node, t, fresh, due, woke   # freed before the sums' arrays
+
+        if trace:
+            trace.write(_trace_text(p0, p1, x, ti))
+        if r == 0:
+            return
+
+        # the row's time, in the sums of the original slot loop
+        # (tests/slot_loop_oracle.py), so that a seed's results keep
+        # their bits, traced or not
+        succ = n_tx[x] == 1
+        dur = np.full(size, sigma)
+        dur[x] = t_col
+        dur[x[succ]] = t_succ[ti[succ]]
+        r_time[r], run = _add_time(r_time[r], dur, ~event & (in_backoff == 0),
+                                   run, sigma, p1 < edges[r + 1])
+        r_idle[r] += size - np.count_nonzero(n_tx)
+        r_col[r] += np.count_nonzero(n_tx > 1)
+        r_slots[r] += size
+        del tt, x, n_tx, event, in_backoff, dur   # freed before the per-node grid
+
+        # per node, the transmissions' sums in slot order
+        per_node = np.bincount(ti, minlength=nn)
+        r_succ[r] += np.bincount(ti[succ], minlength=nn)
+        r_cycles[r] += per_node
+        rank = np.arange(1, len(ti) + 1) - (np.cumsum(per_node) - per_node)[ti]
+
+        def columns():
+            yield np.where(succ, t_succ[ti], t_col)
+            yield np.where(succ, bits[ti], 0.0)
+            e_bo = difs_pl[ti] + td * sigma_pl[ti]
+            e_dat = np.where(succ, eps_succ[ti], eps_col[ti])
+            yield cycle_const[ti] + e_bo + e_dat
+            yield e_bo
+            yield e_dat
+
+        _fold_by_node((r_sums[r, 0], r_sums[r, 1], r_sums[r, 2], e_parts[0],
+                       e_parts[1]), ti, rank, columns())
 
     with (open(cfg.trace_path, "w") if cfg.trace_path
           else contextlib.nullcontext()) as trace:
         if trace:
             trace.write("slot,type,transmitters\n")
+        for r in range(rows):
+            for p0 in range(edges[r], edges[r + 1], _PIECE_SLOTS):
+                p1 = min(p0 + _PIECE_SLOTS, edges[r + 1])
+                # pass 1: the wake-ups, in draw order; pass 2: the slots
+                pass2(r, p0, p1, _wake_ups(heap, draw, lemire, w, step, p1 * nn))
 
-        def idle_run(a, b, n_active):
-            """Account the slots a .. b-1, in which no node is due."""
-            if trace:
-                for c in range(a, b, _TRACE_CHUNK):
-                    trace.write("".join(f"{s},idle,\n"
-                                        for s in range(c, min(c + _TRACE_CHUNK, b))))
-            while a < b:
-                r = bisect_right(edges, a, 0, rows) - 1
-                hi = min(edges[r + 1], b)
-                if r:
-                    k = hi - a
-                    r_idle[r] += k
-                    r_slots[r] += k
-                    if n_active:
-                        # sigma once per slot here, k * sigma at once while all
-                        # sleep: the sums of the original slot loop
-                        # (tests/slot_loop_oracle.py), so a seed's results keep
-                        # their bits, traced or not
-                        t = r_time[r]
-                        for _ in range(k):
-                            t += sigma
-                        r_time[r] = t
-                    else:
-                        r_time[r] += k * sigma
-                a = hi
-
-        push, pop = heapq.heappush, heapq.heappop
-        slot = 0        # every slot before this one is accounted
-        next_edge = 0   # first slot past the current row; 0 finds row 0 or 1
-        while True:
-            s = heap[0] // nn
-            if s >= total:
-                break
-            if s > slot:
-                idle_run(slot, s, n_active)
-            if s >= next_edge:
-                row = bisect_right(edges, s, 0, rows) - 1
-                next_edge = edges[row + 1]
-                air, energy, n_cycles = r_air[row], r_energy[row], r_cycles[row]
-            event_slots += 1
-
-            # the nodes due now, each list in node order
-            base = s * nn
-            lim = base + nn
-            transmitters = []
-            waking = []
-            while heap and heap[0] < lim:
-                i = pop(heap) - base
-                (transmitters if active[i] else waking).append(i)
-            n_tx = len(transmitters)
-            if n_tx == 0:
-                dur = sigma
-                r_idle[row] += 1
-            elif n_tx == 1:
-                i = transmitters[0]
-                dur = t_succ[i]
-                r_succ[row][i] += 1
-                r_bits[row][i] += bits[i]
-                air[i] += dur
-            else:
-                dur = t_col
-                r_col[row] += 1
-                for i in transmitters:
-                    air[i] += dur
-            r_slots[row] += 1
-            r_time[row] += dur
-            if trace:
-                kind = ("idle", "success", "collision")[min(n_tx, 2)]
-                trace.write(f"{s},{kind},{'|'.join(map(str, transmitters))}\n")
-
-            # transmitters go to sleep, sleeping nodes wake and draw a backoff
-            for i in transmitters:
-                e_bo = difs_pl[i] + drawn_backoff[i] * sigma_pl[i]
-                e_dat = eps_succ[i] if n_tx == 1 else eps_col[i]
-                energy[i] += cycle_const[i] + e_bo + e_dat
-                n_cycles[i] += 1
-                if row:
-                    e_backoff_sum[i] += e_bo
-                    e_data_sum[i] += e_dat
-                active[i] = False
-                if occ_a is not None:
-                    occupy(i, True, phase_start[i], s)
-                    phase_start[i] = s + 1
-                push(heap, (s + m[i]) * nn + i)
-            for i in waking:
-                drawn_backoff[i] = d = draw(w[i])
-                active[i] = True
-                if occ_a is not None:
-                    occupy(i, False, phase_start[i], s)
-                    phase_start[i] = s + 1
-                push(heap, (s + 1 + d) * nn + i)
-            n_active += len(waking) - n_tx
-            slot = s + 1
-
-        if slot < total:
-            idle_run(slot, total, n_active)
-    if occ_a is not None:
+    occ_a = occ_s = None
+    if occupancy:
+        occ_a = [np.cumsum(h[::-1])[::-1].copy() for h in np.split(hist_a, off_a[1:-1])]
+        occ_s = [np.cumsum(h[::-1])[::-1].copy() for h in np.split(hist_s, off_s[1:-1])]
+        # the phases still open at the end, from each node's next wake-up
         for key in heap:
-            due_at, i = divmod(key, nn)
-            occupy(i, active[i], phase_start[i], due_at)
+            due, i = divmod(key, nn)
+            if i in open_wake:
+                t_last = due - m[i]
+                lo, hi = t_last - total + 1, t_last - max(open_wake[i] + 1, warmup)
+                target = occ_a[i]
+            else:
+                lo, hi = due - total + 1, min(m[i] - 1, due - warmup)
+                target = occ_s[i]
+            if lo <= hi:
+                target[lo:hi + 1] += 1
 
-    b_bits = np.array(r_bits[1:])
-    b_air = np.array(r_air[1:])
-    b_time = np.array(r_time[1:])
-    b_idle = np.array(r_idle[1:], dtype=float)
-    b_succ = np.array(r_succ[1:], dtype=float)
-    b_col = np.array(r_col[1:], dtype=float)
-    b_slots = np.array(r_slots[1:], dtype=float)
-    b_energy = np.array(r_energy[1:])
-    b_cycles = np.array(r_cycles[1:], dtype=float)
+    b_air, b_bits, b_energy = (r_sums[1:, j].copy() for j in range(3))
+    b_time = r_time[1:]
+    b_idle = r_idle[1:].astype(float)
+    b_succ = r_succ[1:].astype(float)
+    b_col = r_col[1:].astype(float)
+    b_slots = r_slots[1:].astype(float)
+    b_cycles = r_cycles[1:].astype(float)
+    e_backoff_sum, e_data_sum = e_parts
 
     time_total = float(b_time.sum())
     slots_total = float(b_slots.sum())
@@ -356,8 +488,8 @@ def simulate(scenario: Scenario, n, w, cfg: SimConfig) -> SimStats:
         p_succ=b_succ.sum(axis=0) / slots_total,
         p_col=float(b_col.sum() / slots_total),
         energy_per_cycle=energy_sum / safe_cycles,
-        energy_backoff=np.array(e_backoff_sum) / safe_cycles,
-        energy_data=np.array(e_data_sum) / safe_cycles,
+        energy_backoff=e_backoff_sum / safe_cycles,
+        energy_data=e_data_sum / safe_cycles,
         total_time=time_total,
         delivered_bits=b_bits.sum(axis=0),
         slots=int(slots_total),
@@ -403,8 +535,8 @@ def empirical_energy_check(scenario: Scenario, n, w, cfg: SimConfig,
         stats = simulate(scenario, n, w, cfg)
     p = scenario.protocol
     rows = []
-    n = [int(v) for v in np.asarray(n)]
-    w = [int(v) for v in np.asarray(w)]
+    n = _node_integers("samples", n, scenario.n_nodes)
+    w = _node_integers("window", w, scenario.n_nodes)
     m = [int(node.duty.sleep_slots(ni)) for node, ni in zip(scenario.nodes, n)]
     taus = np.array([mac.tau_from_window(w[i], m[i]) for i in range(scenario.n_nodes)])
     for i, node in enumerate(scenario.nodes):

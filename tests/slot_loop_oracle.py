@@ -4,11 +4,12 @@ This is the simulator's original core: one Python iteration per MAC slot
 with O(N) work in each, skipping ahead in bulk only while every node sleeps.
 A traced run skips ahead the same way and writes an idle line per skipped
 slot, so that tracing leaves the sums, and so the results, as they are.
-`wpcsma.sim.simulate` replaces it with an event loop that must give the same
+`wpcsma.sim.simulate` replaces it with a two-pass core (a loop over the
+wake-ups, then numpy over pieces of slots) that must give the same
 `SimStats` bit for bit, and the same trace file byte for byte, for every
 seed; `tests/test_sim.py` holds the two against each other. The only
 addition to the original loop is `event_slots`, the count of slots in which
-some node's counter reads 0 (the slots the event loop visits).
+some node's counter reads 0 (a node wakes or transmits there).
 """
 
 from __future__ import annotations

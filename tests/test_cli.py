@@ -264,3 +264,41 @@ def test_malformed_point_exits_invalid(tmp_path, capsys, n, alpha):
                  "--out", str(tmp_path / "o")])
     assert code == 3
     assert "invalid input" in capsys.readouterr().err
+
+
+def test_negative_seed_exits_invalid(tmp_path, capsys):
+    # was a ValueError traceback from default_rng, exit 1
+    ppath = write_point(tmp_path, [10.0] * 6, [0.1] * 6)
+    code = main(["simulate", "--scenario", str(_EXAMPLE1), "--point", str(ppath),
+                 "--slots", "20000", "--warmup", "1000", "--seed", "-1",
+                 "--out", str(tmp_path / "o")])
+    assert code == 3
+    assert "seed" in capsys.readouterr().err
+
+
+def test_window_overflow_exits_invalid(tmp_path, capsys):
+    # alpha = 1e-30 gives W ~ 2e30; cast to int64 it wrapped to INT64_MIN,
+    # was clamped to W = 1 and simulated at the opposite extreme
+    alpha = [0.1] * 6
+    alpha[2] = 1e-30
+    ppath = write_point(tmp_path, [10.0] * 6, alpha)
+    code = main(["simulate", "--scenario", str(_EXAMPLE1), "--point", str(ppath),
+                 "--slots", "20000", "--warmup", "1000",
+                 "--out", str(tmp_path / "o")])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "invalid input" in err and "node 2" in err
+
+
+def test_wide_window_simulates(tmp_path):
+    # alpha = 1e-12 gives W ~ 2e12, above 2**32: drawn from whole 64-bit
+    # outputs, and the node's one backoff outlasts the run
+    alpha = [0.1] * 6
+    alpha[2] = 1e-12
+    ppath = write_point(tmp_path, [10.0] * 6, alpha)
+    out = tmp_path / "o"
+    assert main(["simulate", "--scenario", str(_EXAMPLE1), "--point", str(ppath),
+                 "--slots", "20000", "--warmup", "1000", "--out", str(out)]) == 0
+    _, rows = read_csv(out / "simulate.csv")
+    assert int(rows[2]["w"]) > 2**32
+    assert float(rows[2]["throughput_sim"]) == 0.0

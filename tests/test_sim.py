@@ -5,7 +5,7 @@ from wpcsma import (InvalidParameterError, SimConfig, alpha_from_tau,
                     bundled_scenario, empirical_energy_check, evaluate,
                     simulate, stationary_distribution, tau_from_window)
 import wpcsma.sim as sim_mod
-from wpcsma.sim import bounded_draws
+from wpcsma.sim import BoundedDraws
 from wpcsma.timing import frame_times
 
 from conftest import PROTO, make_node, make_scenario
@@ -201,11 +201,38 @@ def test_config_rejects_non_integer_slots(kw):
 
 
 def test_config_accepts_numpy_integers():
-    cfg = SimConfig(n_slots=np.int64(2_000), warmup_slots=np.int32(100))
+    cfg = SimConfig(n_slots=np.int64(2_000), warmup_slots=np.int32(100),
+                    seed=np.uint32(5))
     assert simulate(make_scenario([make_node()]), [2], [4], cfg).slots == 1_900
 
 
-# --- the event-loop core against the original slot loop --------------------
+@pytest.mark.parametrize("seed", [-1, 1.5, True, "1", np.float64(2.0)])
+def test_config_rejects_bad_seed(seed):
+    # -1 was a ValueError from default_rng at run time; 1.5 and True ran
+    with pytest.raises(InvalidParameterError):
+        SimConfig(n_slots=100, seed=seed, warmup_slots=0)
+
+
+@pytest.mark.parametrize("n, w", [
+    ([2.7], [4]), ([2], [3.9]), ([2.0], [4]), ([True], [4]), ([2], [True]),
+    ([2], np.array([True])), ([2], np.array([4.0])), ([2], ["4"]),
+])
+def test_simulate_rejects_non_integer_points(n, w):
+    # int() used to turn n = 2.7 into 2, W = 3.9 into 3 and True into 1
+    scn = make_scenario([make_node()])
+    with pytest.raises(InvalidParameterError):
+        simulate(scn, n, w, SimConfig(n_slots=100, seed=1, warmup_slots=0))
+
+
+def test_simulate_accepts_numpy_integer_points():
+    scn = make_scenario([make_node(), make_node(n_max=20)])
+    cfg = SimConfig(n_slots=5_000, seed=1, warmup_slots=0)
+    _assert_same_stats(
+        simulate(scn, np.array([2, 5], dtype=np.int32), [np.int64(4), np.uint8(8)], cfg),
+        simulate(scn, [2, 5], [4, 8], cfg))
+
+
+# --- the two-pass core against the original slot loop ----------------------
 
 _EDGE_BOUNDS = [1, 2, 3, 2**31 + 1, 2**32, 2**32 + 1, 2**40 + 3]
 
@@ -224,7 +251,7 @@ def test_bounded_draws_match_generator_integers(monkeypatch, seed, block):
     bounds += _EDGE_BOUNDS * 40
     pick.shuffle(bounds)
     ref = np.random.default_rng(seed)
-    draw = bounded_draws(np.random.default_rng(seed))
+    draw = BoundedDraws(np.random.default_rng(seed))
     assert [draw(w) for w in bounds] == [int(ref.integers(0, w)) for w in bounds]
 
 
@@ -236,8 +263,23 @@ def _oracle_cases():
             n = rng.integers(1, 7, nn).tolist()
             w = rng.integers(1, 33, nn).tolist() if mixed else [1] * nn
             warmup = 0 if mixed else 1_237
-            cases.append(pytest.param(nn, n, w, warmup,
+            cases.append(pytest.param(nn, n, w, warmup, {}, True,
                                       id=f"N{nn}-{'mixed' if mixed else 'W1'}-warmup{warmup}"))
+    # mixed windows and a warmup that ends inside a piece of 7, 64 or 4096
+    cases.append(pytest.param(6, [1, 2, 3, 4, 5, 6], [3, 9, 17, 5, 30, 2], 1_237, {},
+                              True, id="N6-mixed-warmup1237"))
+    # W = 1 and m = 2 * 3 + 400: every node sleeps through all-asleep runs
+    # of about 400 slots, which span several pieces
+    cases.append(pytest.param(1, [2], [1], 1_237, {"g": 400}, True,
+                              id="N1-W1-asleep-runs"))
+    # backoffs longer than a batch row: transmissions carry across row edges
+    cases.append(pytest.param(3, [2, 4, 6], [2_500, 4_999, 7], 0, {}, True,
+                              id="N3-row-carry"))
+    # a window above 2**32: its draws take whole 64-bit outputs and its
+    # backoff outlasts the run. Without occupancy, whose counts would need
+    # one 64-bit counter per window value (32 GiB)
+    cases.append(pytest.param(3, [2, 3, 4], [2**32 + 5, 9, 16], 611, {}, False,
+                              id="N3-W-above-2^32"))
     return cases
 
 
@@ -258,22 +300,34 @@ def _assert_same_stats(a, b):
             assert np.array_equal(va, vb), name
 
 
-@pytest.mark.parametrize("nn, n, w, warmup", _oracle_cases())
-def test_event_core_matches_slot_loop(tmp_path, nn, n, w, warmup):
-    scn = make_scenario([make_node(n_max=6) for _ in range(nn)])
-    n_slots = 24_013   # not a multiple of the 20 batches
-    for seed, traced in ((3, False), (4, True)):
-        common = dict(n_slots=n_slots, seed=seed, warmup_slots=warmup,
-                      track_occupancy=True)
-        path = {k: str(tmp_path / f"{k}.csv") if traced else None
-                for k in ("event", "slot")}
-        got = simulate(scn, n, w, SimConfig(trace_path=path["event"], **common))
-        want = simulate_slot_loop(scn, n, w,
-                                  SimConfig(trace_path=path["slot"], **common))
-        _assert_same_stats(got, want)
-        if traced:
-            assert ((tmp_path / "event.csv").read_bytes()
-                    == (tmp_path / "slot.csv").read_bytes())
+# Piece sizes of the two-pass core, each with the measured slots of its
+# runs: one slot per piece costs a numpy pass per slot, so it runs shorter.
+_PIECES = ((1, 201), (7, 1_207), (64, 24_013), (sim_mod._PIECE_SLOTS, 24_013))
+
+
+@pytest.mark.parametrize("nn, n, w, warmup, node_kw, occupancy", _oracle_cases())
+def test_event_core_matches_slot_loop(tmp_path, monkeypatch, nn, n, w, warmup,
+                                      node_kw, occupancy):
+    scn = make_scenario([make_node(n_max=6, **node_kw) for _ in range(nn)])
+    want = {}
+    for piece, measured in _PIECES:
+        monkeypatch.setattr(sim_mod, "_PIECE_SLOTS", piece)
+        for seed, traced in ((3, False), (4, True)):
+            # not a multiple of the 20 batches
+            common = dict(n_slots=warmup + measured, seed=seed, warmup_slots=warmup,
+                          track_occupancy=occupancy)
+            path = {k: str(tmp_path / f"{k}.csv") if traced else None
+                    for k in ("event", "slot")}
+            got = simulate(scn, n, w, SimConfig(trace_path=path["event"], **common))
+            key = (measured, seed)
+            if key not in want:
+                want[key] = simulate_slot_loop(
+                    scn, n, w, SimConfig(trace_path=path["slot"], **common))
+                if traced:
+                    want[key, "trace"] = (tmp_path / "slot.csv").read_bytes()
+            _assert_same_stats(got, want[key])
+            if traced:
+                assert (tmp_path / "event.csv").read_bytes() == want[key, "trace"]
 
 
 def test_event_slot_telemetry():
