@@ -198,10 +198,10 @@ def cmd_simulate(args) -> int:
     perf = mac.evaluate(scenario, n_int.astype(float), alpha_int)
 
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     cfg = sim.SimConfig(n_slots=args.slots, seed=args.seed,
                         warmup_slots=args.warmup,
                         trace_path=str(out / "trace.csv") if args.trace else None)
+    out.mkdir(parents=True, exist_ok=True)   # only once the input is accepted
     stats = sim.simulate(scenario, n_int, w_int, cfg)
 
     header = ["node", "n", "w", "tau",

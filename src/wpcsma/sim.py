@@ -12,18 +12,20 @@ are no retransmissions.
 Because every counter steps once per slot, a node's schedule does not depend
 on the other nodes: it wakes where its sleep counter reads 0, draws a backoff
 d, transmits d + 1 slots later and wakes again m slots after that. Only the
-order of the draws couples the nodes. The core therefore runs in two passes
-over each piece of at most `_PIECE_SLOTS` slots: a Python loop over the
-wake-ups alone, which draws the backoffs in order and records the wake
-slots, then numpy arrays over the piece's slots for the slot kinds, the
-counters and the float sums, each sum added in the order of the original
-slot loop.
+order of the draws couples the nodes, and a node with W = 1 draws nothing,
+so its wake-ups are an arithmetic progression. The core therefore runs in
+two passes over each piece of slots, sized to hold about `_PIECE_WAKE_UPS`
+expected wake-ups: a Python loop over the wake-ups of the drawing nodes,
+which draws the backoffs in order and records the wake slots, then numpy
+arrays over the piece's slots for the slot kinds, the counters and the
+float sums, each sum added in the order of the original slot loop.
 """
 
 from __future__ import annotations
 
 import contextlib
 import heapq
+import math
 import numbers
 import time
 from array import array
@@ -39,7 +41,7 @@ from . import mac, model
 _N_BATCHES = 20
 _T_CRIT_19 = 2.093024054408263  # two-sided 95% Student t, 19 dof
 _DRAW_BLOCK = 1024              # raw 64-bit outputs fetched per refill
-_PIECE_SLOTS = 4096             # slots accounted per numpy pass
+_PIECE_WAKE_UPS = 4096          # expected wake-ups accounted per numpy pass
 _MASK32 = (1 << 32) - 1
 _MASK64 = (1 << 64) - 1
 
@@ -170,51 +172,34 @@ def _node_integers(name: str, values, nn: int) -> list[int]:
     return [int(v) for v in vals]
 
 
-def _add_time(start: float, dur, asleep, run: int, sigma: float, row_goes_on: bool):
+def _add_time(terms, busy, run: int, sigma: float, row_goes_on: bool):
     """A row's time after a piece, and the length of an all-asleep run left
     open at the piece's end.
 
-    The piece's terms are added to `start` strictly left to right, in slot
-    order: `dur` holds each slot's term (an event slot's duration, sigma for
-    an idle one), and a run of `asleep` slots (idle, every node asleep) adds
+    `terms` holds the row's time so far and then each slot's term (an event
+    slot's duration, sigma for an idle one), added strictly left to right.
+    `busy` holds True at both ends and between them, per slot, whether it is
+    not part of a run in which every node sleeps: a run of k such slots adds
     k * sigma once instead. `run` is the length of such a run that reached
     the piece's start; a run that reaches the piece's end is left open while
-    the row goes on.
+    the row goes on. Both arrays are overwritten.
     """
-    flips = np.flatnonzero(np.diff(asleep, prepend=False, append=False))
-    starts, stops = flips[0::2], flips[1::2]
+    flips = (busy[1:] != busy[:-1]).nonzero()[0]
+    starts, stops = flips[0::2], flips[1::2]   # slot j is busy[j + 1], terms[j + 1]
     k = stops - starts
-    lead = []
     if run:
         if starts.size and starts[0] == 0:
             k[0] += run
         else:
-            lead = [run * sigma]
+            terms[0] += run * sigma
     run = 0
-    if row_goes_on and stops.size and stops[-1] == len(dur):
+    if row_goes_on and stops.size and stops[-1] == len(terms) - 1:
         run = int(k[-1])
         starts, k = starts[:-1], k[:-1]
-    keep = ~asleep
-    keep[starts] = True
-    dur[starts] = k * sigma
-    terms = np.concatenate(([start], lead, dur[keep]))
-    return float(np.add.accumulate(terms)[-1]), run
-
-
-def _fold_by_node(accs, ti, rank, columns) -> None:
-    """Add each column to its per-node accumulator, value by value in order.
-
-    The values are ordered by node, each node's in slot order, and `rank`
-    is a value's place (1, 2, ...) among its node's. Row j of a grid holds
-    every node's j-th value, so one accumulate down the rows adds each
-    node's values in their order.
-    """
-    grid = np.empty((1 + int(rank.max(initial=0)), len(accs[0])))
-    for acc, col in zip(accs, columns):
-        grid[0] = acc
-        grid[1:] = 0.0
-        grid[rank, ti] = col
-        acc[:] = np.add.accumulate(grid, axis=0, out=grid)[-1]
+    keep = busy[:-1]   # the row's time, the busy slots and each run's first
+    keep[starts + 1] = True
+    terms[starts + 1] = k * sigma
+    return float(np.add.accumulate(terms[keep])[-1]), run
 
 
 def _trace_text(p0: int, p1: int, x, ti) -> str:
@@ -231,18 +216,27 @@ def _trace_text(p0: int, p1: int, x, ti) -> str:
     return "".join(lines)
 
 
+def _piece_slots(wake_rate: float) -> int:
+    """Slots per piece at `wake_rate` expected wake-ups per slot: room for
+    `_PIECE_WAKE_UPS` of them, but at most twice that many slots, which
+    bounds the size of a piece's per-slot arrays."""
+    return min(math.ceil(_PIECE_WAKE_UPS / wake_rate), 2 * _PIECE_WAKE_UPS)
+
+
 def _wake_ups(heap: list, draw: BoundedDraws, lemire: list, w: list, step: list,
               lim: int) -> array:
     """Pop every wake-up key below `lim` (wake * nn + node) in order, draw
     its backoff d and push the node's next wake-up; return the keys.
 
-    The common draw, a 32-bit half that Lemire's test accepts at once, is
-    taken from `draw`'s buffer here: `lemire` holds each node's bound for it
-    (0 for w = 1, which draws 0 and takes no half; 2**32, which no half
-    passes, for w >= 2**32). Anything else goes to `draw` itself.
+    The heap holds the nodes with w >= 2 and may be empty. The common draw,
+    a 32-bit half that Lemire's test accepts at once, is taken from `draw`'s
+    buffer here: `lemire` holds each node's bound for it (2**32, which no
+    half passes, for w >= 2**32). Anything else goes to `draw` itself.
     """
     nn = len(w)
     keys = array("q")
+    if not heap:
+        return keys
     put = keys.append
     replace = heapq.heapreplace
     buf, pos = draw.buf, draw.pos
@@ -253,7 +247,7 @@ def _wake_ups(heap: list, draw: BoundedDraws, lemire: list, w: list, step: list,
         v = lemire[i]
         if pos < n_buf and (x := buf[pos] * v) & _MASK32 >= v:
             d = x >> 32
-            pos += v > 0
+            pos += 1
         else:
             draw.pos = pos
             d = draw(w[i])
@@ -265,25 +259,43 @@ def _wake_ups(heap: list, draw: BoundedDraws, lemire: list, w: list, step: list,
     return keys
 
 
-def _schedule(keys: array, held_s, held_i, heap: list, far: int, m_arr, total: int):
+def _steady_wake_ups(steady: list, step: list, lim: int) -> list:
+    """The wake-up keys below `lim` of the nodes with w = 1, one array each.
+
+    Such a node draws nothing, so its keys grow by its step alone: `steady`
+    holds each one's next key (wake * nn + node) and is moved past the keys
+    returned.
+    """
+    nn = len(step)
+    runs = []
+    for j, key in enumerate(steady):
+        if key < lim:
+            stride = step[key % nn]
+            run = np.arange(key, lim, stride, dtype=np.int64)
+            steady[j] = key + stride * len(run)
+            runs.append(run)
+    return runs
+
+
+def _schedule(key, held_s, held_i, next_keys: list, far: int, m_arr, total: int):
     """The wake-ups of a piece with their transmission slots.
 
     Returns (s, node, t, fresh) over the held wake-ups (`held_s`, `held_i`)
-    and the piece's own (`keys`), ordered by node and each node's by slot:
+    and the piece's own (`key`), ordered by node and each node's by slot:
     the wake slot, the node, the transmission slot clipped at `total`, and
     whether the wake-up is the piece's own. A transmission is the node's
-    next wake-up minus m: its next one here or, for its last, its key in the
-    heap, read no later than `far`.
+    next wake-up minus m: its next one here or, for its last, its key in
+    `next_keys`, which holds each node's first key past the piece, read no
+    later than `far`.
     """
     nn = len(m_arr)
-    key = np.frombuffer(keys, dtype=np.int64)
-    node = np.concatenate((held_i, key % nn))
+    wake, node = np.divmod(key, nn)
+    node = np.concatenate((held_i, node))
     order = np.argsort(node, kind="stable")
     node = node[order]
-    s = np.concatenate((held_s, key // nn))[order]
+    s = np.concatenate((held_s, wake))[order]
     ahead = np.empty(nn, dtype=np.int64)
-    for k in heap:
-        ahead[k % nn] = min(k // nn, far)
+    ahead[[k % nn for k in next_keys]] = [min(k // nn, far) for k in next_keys]
     nxt = np.empty_like(s)
     nxt[:-1] = s[1:]
     last = np.ones(len(node), dtype=bool)   # a node's last wake-up here
@@ -345,23 +357,28 @@ def simulate(scenario: Scenario, n, w, cfg: SimConfig) -> SimStats:
         hist_s = np.zeros(off_s[-1], dtype=np.int64)
         open_wake = {}   # node: wake slot of a backoff that ends past the run
 
-    # The heap holds each node's next wake-up as wake * nn + node, so that
-    # nodes waking in one slot pop in node order: the order of the draws. A
+    # A node's next wake-up is kept as the key wake * nn + node, so that
+    # nodes waking in one slot come in node order: the order of the draws. A
     # node that wakes at s with draw d transmits at s + 1 + d and wakes again
-    # at s + 1 + d + m, so its key grows by step + d * nn.
+    # at s + 1 + d + m, so its key grows by step + d * nn. The heap holds the
+    # keys of the nodes that draw; `steady` those of the nodes with w = 1,
+    # whose d is always 0 and takes no random bits.
     draw = BoundedDraws(np.random.default_rng(cfg.seed))
     # random sleep phase avoids synchronized starts; warmup does the rest
-    heap = [draw(m[i]) * nn + i for i in range(nn)]
+    first = [draw(m[i]) * nn + i for i in range(nn)]
+    heap = [k for k in first if w[k % nn] > 1]
+    steady = [k for k in first if w[k % nn] == 1]
     heapq.heapify(heap)
     step = [(1 + m_i) * nn for m_i in m]
-    lemire = [0 if v == 1 else min(v, 1 << 32) for v in w]   # see _wake_ups
+    lemire = [min(v, 1 << 32) for v in w]   # see _wake_ups
     far = total + max(m)   # a wake-up this late ends its backoff past the run
+    span = _piece_slots(float(np.sum(mac.tau_from_window(np.array(w, dtype=float), m_arr))))
     held_s = held_i = np.zeros(0, dtype=np.int64)   # transmitting after the piece
     n_backoff = 0   # nodes in backoff as the piece starts
     run = 0         # an all-asleep run up to the piece's start, not yet summed
     event_slots = 0
 
-    def pass2(r: int, p0: int, p1: int, keys: array) -> None:
+    def pass2(r: int, p0: int, p1: int, keys) -> None:
         """Account the slots p0 .. p1-1 of row r, whose wake-ups pass 1 drew.
 
         Its arrays go when it returns, before the next piece's pass 1 refills
@@ -369,7 +386,8 @@ def simulate(scenario: Scenario, n, w, cfg: SimConfig) -> SimStats:
         """
         nonlocal held_s, held_i, n_backoff, run, event_slots
         size = p1 - p0
-        s, node, t, fresh = _schedule(keys, held_s, held_i, heap, far, m_arr, total)
+        s, node, t, fresh = _schedule(keys, held_s, held_i, heap + steady, far, m_arr,
+                                      total)
         woke = s[fresh]
         if occupancy:
             fi, ft = node[fresh], t[fresh]
@@ -382,7 +400,8 @@ def simulate(scenario: Scenario, n, w, cfg: SimConfig) -> SimStats:
             for i, wake in zip(fi[ft == total].tolist(), woke[ft == total].tolist()):
                 open_wake[i] = wake
         due = t < p1
-        held_s, held_i = s[~due], node[~due]
+        wait = ~due
+        held_s, held_i = s[wait], node[wait]
         ti, tt = node[due], t[due]
         td = tt - s[due] - 1
         x = tt - p0
@@ -395,7 +414,7 @@ def simulate(scenario: Scenario, n, w, cfg: SimConfig) -> SimStats:
         in_backoff = n_backoff + np.cumsum(
             np.bincount(woke + 1 - p0, minlength=size + 1)[:size] - n_tx)
         n_backoff += len(woke) - len(tt)
-        del keys, s, node, t, fresh, due, woke   # freed before the sums' arrays
+        del keys, s, node, t, fresh, due, wait, woke   # freed before the sums' arrays
 
         if trace:
             trace.write(_trace_text(p0, p1, x, ti))
@@ -406,50 +425,48 @@ def simulate(scenario: Scenario, n, w, cfg: SimConfig) -> SimStats:
         # (tests/slot_loop_oracle.py), so that a seed's results keep
         # their bits, traced or not
         succ = n_tx[x] == 1
-        dur = np.full(size, sigma)
-        dur[x] = t_col
-        dur[x[succ]] = t_succ[ti[succ]]
-        r_time[r], run = _add_time(r_time[r], dur, ~event & (in_backoff == 0),
-                                   run, sigma, p1 < edges[r + 1])
+        air = np.where(succ, t_succ[ti], t_col)
+        terms = np.full(size + 1, sigma)
+        terms[0] = r_time[r]
+        terms[x + 1] = air
+        busy = np.ones(size + 2, dtype=bool)
+        np.logical_or(in_backoff, event, out=busy[1:-1])
+        r_time[r], run = _add_time(terms, busy, run, sigma, p1 < edges[r + 1])
         r_idle[r] += size - np.count_nonzero(n_tx)
         r_col[r] += np.count_nonzero(n_tx > 1)
         r_slots[r] += size
-        del tt, x, n_tx, event, in_backoff, dur   # freed before the per-node grid
+        del tt, x, n_tx, event, in_backoff, terms, busy
 
-        # per node, the transmissions' sums in slot order
-        per_node = np.bincount(ti, minlength=nn)
+        # per node, the transmissions' sums in slot order: ti lists each
+        # node's transmissions in slot order, and np.add.at adds in index order
         r_succ[r] += np.bincount(ti[succ], minlength=nn)
-        r_cycles[r] += per_node
-        rank = np.arange(1, len(ti) + 1) - (np.cumsum(per_node) - per_node)[ti]
-
-        def columns():
-            yield np.where(succ, t_succ[ti], t_col)
-            yield np.where(succ, bits[ti], 0.0)
-            e_bo = difs_pl[ti] + td * sigma_pl[ti]
-            e_dat = np.where(succ, eps_succ[ti], eps_col[ti])
-            yield cycle_const[ti] + e_bo + e_dat
-            yield e_bo
-            yield e_dat
-
-        _fold_by_node((r_sums[r, 0], r_sums[r, 1], r_sums[r, 2], e_parts[0],
-                       e_parts[1]), ti, rank, columns())
+        r_cycles[r] += np.bincount(ti, minlength=nn)
+        e_bo = difs_pl[ti] + td * sigma_pl[ti]
+        e_dat = np.where(succ, eps_succ[ti], eps_col[ti])
+        for acc, col in ((r_sums[r, 0], air), (r_sums[r, 1], np.where(succ, bits[ti], 0.0)),
+                         (r_sums[r, 2], cycle_const[ti] + e_bo + e_dat),
+                         (e_parts[0], e_bo), (e_parts[1], e_dat)):
+            np.add.at(acc, ti, col)
 
     with (open(cfg.trace_path, "w") if cfg.trace_path
           else contextlib.nullcontext()) as trace:
         if trace:
             trace.write("slot,type,transmitters\n")
         for r in range(rows):
-            for p0 in range(edges[r], edges[r + 1], _PIECE_SLOTS):
-                p1 = min(p0 + _PIECE_SLOTS, edges[r + 1])
+            for p0 in range(edges[r], edges[r + 1], span):
+                p1 = min(p0 + span, edges[r + 1])
                 # pass 1: the wake-ups, in draw order; pass 2: the slots
-                pass2(r, p0, p1, _wake_ups(heap, draw, lemire, w, step, p1 * nn))
+                pass2(r, p0, p1, np.concatenate((
+                    np.frombuffer(_wake_ups(heap, draw, lemire, w, step, p1 * nn),
+                                  dtype=np.int64),
+                    *_steady_wake_ups(steady, step, p1 * nn))))
 
     occ_a = occ_s = None
     if occupancy:
         occ_a = [np.cumsum(h[::-1])[::-1].copy() for h in np.split(hist_a, off_a[1:-1])]
         occ_s = [np.cumsum(h[::-1])[::-1].copy() for h in np.split(hist_s, off_s[1:-1])]
         # the phases still open at the end, from each node's next wake-up
-        for key in heap:
+        for key in heap + steady:
             due, i = divmod(key, nn)
             if i in open_wake:
                 t_last = due - m[i]

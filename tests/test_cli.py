@@ -274,6 +274,17 @@ def test_negative_seed_exits_invalid(tmp_path, capsys):
                  "--out", str(tmp_path / "o")])
     assert code == 3
     assert "seed" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()   # a refused run writes nothing
+
+
+def test_warmup_not_below_slots_exits_invalid(tmp_path, capsys):
+    ppath = write_point(tmp_path, [10.0] * 6, [0.1] * 6)
+    code = main(["simulate", "--scenario", str(_EXAMPLE1), "--point", str(ppath),
+                 "--slots", "20000", "--warmup", "20000",
+                 "--out", str(tmp_path / "o" / "sub")])
+    assert code == 3
+    assert "warmup_slots" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_window_overflow_exits_invalid(tmp_path, capsys):

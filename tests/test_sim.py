@@ -255,6 +255,9 @@ def test_bounded_draws_match_generator_integers(monkeypatch, seed, block):
     assert [draw(w) for w in bounds] == [int(ref.integers(0, w)) for w in bounds]
 
 
+_SLOTS = 24_013   # measured slots of a case at the default piece rule
+
+
 def _oracle_cases():
     cases = []
     rng = np.random.default_rng(77)
@@ -263,23 +266,36 @@ def _oracle_cases():
             n = rng.integers(1, 7, nn).tolist()
             w = rng.integers(1, 33, nn).tolist() if mixed else [1] * nn
             warmup = 0 if mixed else 1_237
-            cases.append(pytest.param(nn, n, w, warmup, {}, True,
+            cases.append(pytest.param(nn, n, w, warmup, {}, True, _SLOTS,
                                       id=f"N{nn}-{'mixed' if mixed else 'W1'}-warmup{warmup}"))
-    # mixed windows and a warmup that ends inside a piece of 7, 64 or 4096
+    # mixed windows and a warmup that ends inside a piece of 7 or 64 slots
     cases.append(pytest.param(6, [1, 2, 3, 4, 5, 6], [3, 9, 17, 5, 30, 2], 1_237, {},
-                              True, id="N6-mixed-warmup1237"))
+                              True, _SLOTS, id="N6-mixed-warmup1237"))
     # W = 1 and m = 2 * 3 + 400: every node sleeps through all-asleep runs
     # of about 400 slots, which span several pieces
-    cases.append(pytest.param(1, [2], [1], 1_237, {"g": 400}, True,
+    cases.append(pytest.param(1, [2], [1], 1_237, {"g": 400}, True, _SLOTS,
                               id="N1-W1-asleep-runs"))
     # backoffs longer than a batch row: transmissions carry across row edges
-    cases.append(pytest.param(3, [2, 4, 6], [2_500, 4_999, 7], 0, {}, True,
+    cases.append(pytest.param(3, [2, 4, 6], [2_500, 4_999, 7], 0, {}, True, _SLOTS,
                               id="N3-row-carry"))
     # a window above 2**32: its draws take whole 64-bit outputs and its
     # backoff outlasts the run. Without occupancy, whose counts would need
     # one 64-bit counter per window value (32 GiB)
-    cases.append(pytest.param(3, [2, 3, 4], [2**32 + 5, 9, 16], 611, {}, False,
+    cases.append(pytest.param(3, [2, 3, 4], [2**32 + 5, 9, 16], 611, {}, False, _SLOTS,
                               id="N3-W-above-2^32"))
+    # W = 1 nodes beside drawing ones, all with m = 2: wake slots coincide
+    # often, and the nodes of one slot must draw in node order although the
+    # W = 1 ones are kept out of the draw loop
+    cases.append(pytest.param(6, [1] * 6, [1, 2, 1, 3, 1, 2], 611, {"h": 1, "g": 1},
+                              True, _SLOTS, id="N6-W1-beside-drawing-m2"))
+    # every node at W = 1, so no node draws, with pieces of 8192 slots at
+    # the default rule and a warmup that ends inside the second one
+    cases.append(pytest.param(3, [1, 2, 3], [1, 1, 1], 10_000, {"g": 400}, True, _SLOTS,
+                              id="N3-W1-warmup10000"))
+    # a sparse point whose batch rows (9,000 slots) hold whole pieces of
+    # 8192 slots at the default rule
+    cases.append(pytest.param(2, [2, 3], [1, 5], 611, {"g": 400}, True, 180_013,
+                              id="N2-sparse-long-pieces"))
     return cases
 
 
@@ -300,18 +316,26 @@ def _assert_same_stats(a, b):
             assert np.array_equal(va, vb), name
 
 
-# Piece sizes of the two-pass core, each with the measured slots of its
-# runs: one slot per piece costs a numpy pass per slot, so it runs shorter.
-_PIECES = ((1, 201), (7, 1_207), (64, 24_013), (sim_mod._PIECE_SLOTS, 24_013))
+# Forced piece sizes of the two-pass core, each with the measured slots of
+# its runs (one slot per piece costs a numpy pass per slot, so it runs
+# shorter), then the default rule (None) at the case's own length.
+_PIECES = ((1, 201), (7, 1_207), (64, _SLOTS), (None, None))
 
 
-@pytest.mark.parametrize("nn, n, w, warmup, node_kw, occupancy", _oracle_cases())
+@pytest.mark.parametrize("nn, n, w, warmup, node_kw, occupancy, slots", _oracle_cases())
 def test_event_core_matches_slot_loop(tmp_path, monkeypatch, nn, n, w, warmup,
-                                      node_kw, occupancy):
+                                      node_kw, occupancy, slots):
     scn = make_scenario([make_node(n_max=6, **node_kw) for _ in range(nn)])
     want = {}
+    spans = []
+    rule = sim_mod._piece_slots
     for piece, measured in _PIECES:
-        monkeypatch.setattr(sim_mod, "_PIECE_SLOTS", piece)
+        if piece is None:
+            measured = slots
+            monkeypatch.setattr(sim_mod, "_piece_slots",
+                                lambda rate: spans.append(rule(rate)) or spans[-1])
+        else:
+            monkeypatch.setattr(sim_mod, "_piece_slots", lambda rate, piece=piece: piece)
         for seed, traced in ((3, False), (4, True)):
             # not a multiple of the 20 batches
             common = dict(n_slots=warmup + measured, seed=seed, warmup_slots=warmup,
@@ -328,6 +352,8 @@ def test_event_core_matches_slot_loop(tmp_path, monkeypatch, nn, n, w, warmup,
             _assert_same_stats(got, want[key])
             if traced:
                 assert (tmp_path / "event.csv").read_bytes() == want[key, "trace"]
+    if slots > _SLOTS:
+        assert 4096 < spans[0] < slots // 20   # rows hold whole long pieces
 
 
 def test_event_slot_telemetry():
