@@ -11,24 +11,21 @@ are no retransmissions.
 
 Because every counter steps once per slot, a node's schedule does not depend
 on the other nodes: it wakes where its sleep counter reads 0, draws a backoff
-d, transmits d + 1 slots later and wakes again m slots after that. Only the
-order of the draws couples the nodes, and a node with W = 1 draws nothing,
-so its wake-ups are an arithmetic progression. The core therefore runs in
-two passes over each piece of slots, sized to hold about `_PIECE_WAKE_UPS`
-expected wake-ups: a Python loop over the wake-ups of the drawing nodes,
-which draws the backoffs in order and records the wake slots, then numpy
-arrays over the piece's slots for the slot kinds, the counters and the
-float sums, each sum added in the order of the original slot loop.
+d, transmits d + 1 slots later and wakes again m slots after that. Each node
+draws from a random stream of its own, so nothing couples the nodes, and the
+core runs in two passes over each piece of slots, sized to hold about
+`_PIECE_WAKE_UPS` expected wake-ups: numpy lays out each node's wake slots
+from blocks of its backoff draws, then numpy arrays over the piece's slots
+give the slot kinds, the counters and the float sums, each sum added in the
+order of the original slot loop.
 """
 
 from __future__ import annotations
 
 import contextlib
-import heapq
 import math
 import numbers
 import time
-from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,10 +37,8 @@ from . import mac, model
 
 _N_BATCHES = 20
 _T_CRIT_19 = 2.093024054408263  # two-sided 95% Student t, 19 dof
-_DRAW_BLOCK = 1024              # raw 64-bit outputs fetched per refill
+_BACKOFF_BLOCK = 1024           # backoffs a node draws at a time
 _PIECE_WAKE_UPS = 4096          # expected wake-ups accounted per numpy pass
-_MASK32 = (1 << 32) - 1
-_MASK64 = (1 << 64) - 1
 
 
 @dataclass(frozen=True)
@@ -84,81 +79,10 @@ class SimStats:
     ci_halfwidth: dict = field(default_factory=dict)
     occupancy_active: list | None = None   # per node: counts over (A, k)
     occupancy_sleep: list | None = None    # per node: counts over (S, k)
-    rng_name: str = "PCG64"
+    rng_name: str = "PCG64 per node (SeedSequence.spawn)"
     seed: int = 0
     event_slots: int = 0          # slots where some node is due, warmup included
     wall_time_s: float = 0.0      # host seconds spent in `simulate`
-
-
-class BoundedDraws:
-    """`draw(w)`: an integer uniform on [0, w), `rng.integers(0, w)`'s value.
-
-    Successive draws equal what successive `rng.integers(0, w)` calls on the
-    same generator return. numpy reduces a bound w <= 2**32 with Lemire's
-    multiply-and-reject on 32-bit values (Lemire, ACM TOMACS 2019); PCG64
-    serves a 32-bit value as the low half of a fresh 64-bit output and keeps
-    the high half for the next one. A larger bound takes whole 64-bit outputs
-    and leaves a kept half in place, and w == 1 takes nothing. `draw` replays
-    this on blocks of raw outputs (`random_raw`), at a fraction of the cost
-    of a Generator call. The generator runs ahead of the draws, so it must
-    not be used for anything else afterwards.
-
-    `buf` holds the halves of raw outputs (low, high, low, high, ...) and
-    `pos` the next unused half, odd while an output's high half is kept. A
-    caller may take a 32-bit draw from `buf[pos]` itself and step `pos`, as
-    `simulate` does; `pos` must be stored back before the next call.
-    """
-
-    def __init__(self, rng: np.random.Generator):
-        self._raw = rng.bit_generator.random_raw
-        self.buf: list[int] = []
-        self.pos = 0
-
-    def _fill(self):
-        words = self._raw(_DRAW_BLOCK)
-        halves = np.empty(2 * _DRAW_BLOCK, dtype=np.uint64)
-        halves[0::2] = words & _MASK32
-        halves[1::2] = words >> 32
-        # a kept high half stays next, after its output's (used) low half
-        pos = self.pos
-        self.buf = self.buf[pos - (pos & 1):] + halves.tolist()
-        self.pos = pos & 1
-
-    def _next64(self) -> int:
-        pos = self.pos
-        if pos + (pos & 1) + 2 > len(self.buf):
-            self._fill()
-            pos = self.pos
-        buf = self.buf
-        j = pos + (pos & 1)
-        word = buf[j] | buf[j + 1] << 32
-        if pos & 1:
-            buf[j + 1] = buf[pos]   # the kept half moves past the used output
-        self.pos = pos + 2
-        return word
-
-    def _next32(self) -> int:
-        if self.pos == len(self.buf):
-            self._fill()
-        self.pos += 1
-        return self.buf[self.pos - 1]
-
-    def __call__(self, w: int) -> int:
-        if w == 1:
-            return 0
-        if w > 1 << 32:
-            x = self._next64() * w
-            if x & _MASK64 < w:
-                t = ((1 << 64) - w) % w
-                while x & _MASK64 < t:
-                    x = self._next64() * w
-            return x >> 64
-        x = self._next32() * w
-        if x & _MASK32 < w:
-            t = ((1 << 32) - w) % w
-            while x & _MASK32 < t:
-                x = self._next32() * w
-        return x >> 32
 
 
 def _node_integers(name: str, values, nn: int) -> list[int]:
@@ -223,85 +147,19 @@ def _piece_slots(wake_rate: float) -> int:
     return min(math.ceil(_PIECE_WAKE_UPS / wake_rate), 2 * _PIECE_WAKE_UPS)
 
 
-def _wake_ups(heap: list, draw: BoundedDraws, lemire: list, w: list, step: list,
-              lim: int) -> array:
-    """Pop every wake-up key below `lim` (wake * nn + node) in order, draw
-    its backoff d and push the node's next wake-up; return the keys.
+def _next_wakes(gen: np.random.Generator, wake: int, w: int, m: int, d_max: int):
+    """The `_BACKOFF_BLOCK` wake slots that follow a node's wake-up at `wake`.
 
-    The heap holds the nodes with w >= 2 and may be empty. The common draw,
-    a 32-bit half that Lemire's test accepts at once, is taken from `draw`'s
-    buffer here: `lemire` holds each node's bound for it (2**32, which no
-    half passes, for w >= 2**32). Anything else goes to `draw` itself.
+    A node that wakes at s with backoff d wakes again at s + 1 + d + m. The
+    backoffs, of `wake` and of each wake-up returned but the last, are the
+    node's next draws from `gen`, `integers(0, w)` in turn, clipped at
+    `d_max` so that no window overflows int64.
     """
-    nn = len(w)
-    keys = array("q")
-    if not heap:
-        return keys
-    put = keys.append
-    replace = heapq.heapreplace
-    buf, pos = draw.buf, draw.pos
-    n_buf = len(buf)
-    while heap[0] < lim:
-        key = heap[0]
-        i = key % nn
-        v = lemire[i]
-        if pos < n_buf and (x := buf[pos] * v) & _MASK32 >= v:
-            d = x >> 32
-            pos += 1
-        else:
-            draw.pos = pos
-            d = draw(w[i])
-            buf, pos = draw.buf, draw.pos
-            n_buf = len(buf)
-        put(key)
-        replace(heap, key + step[i] + d * nn)
-    draw.pos = pos
-    return keys
-
-
-def _steady_wake_ups(steady: list, step: list, lim: int) -> list:
-    """The wake-up keys below `lim` of the nodes with w = 1, one array each.
-
-    Such a node draws nothing, so its keys grow by its step alone: `steady`
-    holds each one's next key (wake * nn + node) and is moved past the keys
-    returned.
-    """
-    nn = len(step)
-    runs = []
-    for j, key in enumerate(steady):
-        if key < lim:
-            stride = step[key % nn]
-            run = np.arange(key, lim, stride, dtype=np.int64)
-            steady[j] = key + stride * len(run)
-            runs.append(run)
-    return runs
-
-
-def _schedule(key, held_s, held_i, next_keys: list, far: int, m_arr, total: int):
-    """The wake-ups of a piece with their transmission slots.
-
-    Returns (s, node, t, fresh) over the held wake-ups (`held_s`, `held_i`)
-    and the piece's own (`key`), ordered by node and each node's by slot:
-    the wake slot, the node, the transmission slot clipped at `total`, and
-    whether the wake-up is the piece's own. A transmission is the node's
-    next wake-up minus m: its next one here or, for its last, its key in
-    `next_keys`, which holds each node's first key past the piece, read no
-    later than `far`.
-    """
-    nn = len(m_arr)
-    wake, node = np.divmod(key, nn)
-    node = np.concatenate((held_i, node))
-    order = np.argsort(node, kind="stable")
-    node = node[order]
-    s = np.concatenate((held_s, wake))[order]
-    ahead = np.empty(nn, dtype=np.int64)
-    ahead[[k % nn for k in next_keys]] = [min(k // nn, far) for k in next_keys]
-    nxt = np.empty_like(s)
-    nxt[:-1] = s[1:]
-    last = np.ones(len(node), dtype=bool)   # a node's last wake-up here
-    last[:-1] = node[1:] != node[:-1]
-    nxt[last] = ahead[node[last]]
-    return s, node, np.minimum(nxt - m_arr[node], total), order >= len(held_s)
+    d = gen.integers(0, w, size=_BACKOFF_BLOCK)
+    np.minimum(d, d_max, out=d)
+    d += 1 + m
+    d[0] += wake
+    return np.cumsum(d, out=d)
 
 
 def simulate(scenario: Scenario, n, w, cfg: SimConfig) -> SimStats:
@@ -355,39 +213,56 @@ def simulate(scenario: Scenario, n, w, cfg: SimConfig) -> SimStats:
         off_s = np.concatenate(([0], np.cumsum(m)))
         hist_a = np.zeros(off_a[-1], dtype=np.int64)
         hist_s = np.zeros(off_s[-1], dtype=np.int64)
-        open_wake = {}   # node: wake slot of a backoff that ends past the run
 
-    # A node's next wake-up is kept as the key wake * nn + node, so that
-    # nodes waking in one slot come in node order: the order of the draws. A
-    # node that wakes at s with draw d transmits at s + 1 + d and wakes again
-    # at s + 1 + d + m, so its key grows by step + d * nn. The heap holds the
-    # keys of the nodes that draw; `steady` those of the nodes with w = 1,
-    # whose d is always 0 and takes no random bits.
-    draw = BoundedDraws(np.random.default_rng(cfg.seed))
-    # random sleep phase avoids synchronized starts; warmup does the rest
-    first = [draw(m[i]) * nn + i for i in range(nn)]
-    heap = [k for k in first if w[k % nn] > 1]
-    steady = [k for k in first if w[k % nn] == 1]
-    heapq.heapify(heap)
-    step = [(1 + m_i) * nn for m_i in m]
-    lemire = [min(v, 1 << 32) for v in w]   # see _wake_ups
-    far = total + max(m)   # a wake-up this late ends its backoff past the run
+    # Every node draws from a stream of its own: its sleep phase, which
+    # avoids synchronized starts (the warmup does the rest), then its
+    # backoffs. `pending[i]` holds node i's wake slots from the first one
+    # not yet done with, the last of them with its backoff not yet drawn.
+    gens = [np.random.Generator(np.random.PCG64(c))
+            for c in np.random.SeedSequence(cfg.seed).spawn(nn)]
+    pending = [np.array([gen.integers(0, m_i)]) for gen, m_i in zip(gens, m)]
+    # a backoff of `total` slots or more ends past the run, whatever its
+    # length; with occupancy a backoff open at the end needs its exact
+    # length, and the histograms above already bound w
+    d_max = max(w) if occupancy else total
     span = _piece_slots(float(np.sum(mac.tau_from_window(np.array(w, dtype=float), m_arr))))
-    held_s = held_i = np.zeros(0, dtype=np.int64)   # transmitting after the piece
     n_backoff = 0   # nodes in backoff as the piece starts
     run = 0         # an all-asleep run up to the piece's start, not yet summed
     event_slots = 0
 
-    def pass2(r: int, p0: int, p1: int, keys) -> None:
-        """Account the slots p0 .. p1-1 of row r, whose wake-ups pass 1 drew.
+    def pass1(p1: int):
+        """The wake-ups below p1 not yet done with, node by node and each
+        node's in slot order: wake slots, nodes and transmission slots,
+        clipped at `total`. A wake-up that transmits at p1 or later stays
+        pending for the next piece."""
+        wakes, nexts, counts = [], [], []
+        for i, (gen, w_i, m_i) in enumerate(zip(gens, w, m)):
+            wk = pending[i]
+            if wk[-1] < p1:
+                blocks = [wk]
+                while blocks[-1][-1] < p1:
+                    blocks.append(_next_wakes(gen, int(blocks[-1][-1]), w_i, m_i, d_max))
+                wk = np.concatenate(blocks)
+            k = int(wk.searchsorted(p1))
+            wakes.append(wk[:k])
+            nexts.append(wk[1:k + 1])   # a transmission is the next wake-up minus m
+            counts.append(k)
+            pending[i] = wk[k - 1:] if k and wk[k] - m_i >= p1 else wk[k:]
+        node = np.repeat(np.arange(nn), counts)
+        return (np.concatenate(wakes), node,
+                np.minimum(np.concatenate(nexts) - m_arr[node], total))
 
-        Its arrays go when it returns, before the next piece's pass 1 refills
-        the draw buffer, so that one piece's arrays are alive at a time.
+    def pass2(r: int, p0: int, p1: int) -> None:
+        """Account the slots p0 .. p1-1 of row r, with their wake-ups from
+        pass 1.
+
+        Its arrays go when it returns, so that one piece's arrays are alive
+        at a time.
         """
-        nonlocal held_s, held_i, n_backoff, run, event_slots
+        nonlocal n_backoff, run, event_slots
         size = p1 - p0
-        s, node, t, fresh = _schedule(keys, held_s, held_i, heap + steady, far, m_arr,
-                                      total)
+        s, node, t = pass1(p1)
+        fresh = s >= p0
         woke = s[fresh]
         if occupancy:
             fi, ft = node[fresh], t[fresh]
@@ -397,11 +272,7 @@ def simulate(scenario: Scenario, n, w, cfg: SimConfig) -> SimStats:
             hit = (ft < total) & (ft >= warmup)
             np.add.at(hist_a, off_a[fi[hit]]
                       + np.minimum(ft[hit] - woke[hit] - 1, ft[hit] - warmup), 1)
-            for i, wake in zip(fi[ft == total].tolist(), woke[ft == total].tolist()):
-                open_wake[i] = wake
         due = t < p1
-        wait = ~due
-        held_s, held_i = s[wait], node[wait]
         ti, tt = node[due], t[due]
         td = tt - s[due] - 1
         x = tt - p0
@@ -414,7 +285,7 @@ def simulate(scenario: Scenario, n, w, cfg: SimConfig) -> SimStats:
         in_backoff = n_backoff + np.cumsum(
             np.bincount(woke + 1 - p0, minlength=size + 1)[:size] - n_tx)
         n_backoff += len(woke) - len(tt)
-        del keys, s, node, t, fresh, due, wait, woke   # freed before the sums' arrays
+        del s, node, t, fresh, due, woke   # freed before the sums' arrays
 
         if trace:
             trace.write(_trace_text(p0, p1, x, ti))
@@ -455,24 +326,20 @@ def simulate(scenario: Scenario, n, w, cfg: SimConfig) -> SimStats:
         for r in range(rows):
             for p0 in range(edges[r], edges[r + 1], span):
                 p1 = min(p0 + span, edges[r + 1])
-                # pass 1: the wake-ups, in draw order; pass 2: the slots
-                pass2(r, p0, p1, np.concatenate((
-                    np.frombuffer(_wake_ups(heap, draw, lemire, w, step, p1 * nn),
-                                  dtype=np.int64),
-                    *_steady_wake_ups(steady, step, p1 * nn))))
+                pass2(r, p0, p1)
 
     occ_a = occ_s = None
     if occupancy:
         occ_a = [np.cumsum(h[::-1])[::-1].copy() for h in np.split(hist_a, off_a[1:-1])]
         occ_s = [np.cumsum(h[::-1])[::-1].copy() for h in np.split(hist_s, off_s[1:-1])]
-        # the phases still open at the end, from each node's next wake-up
-        for key in heap + steady:
-            due, i = divmod(key, nn)
-            if i in open_wake:
-                t_last = due - m[i]
-                lo, hi = t_last - total + 1, t_last - max(open_wake[i] + 1, warmup)
+        # the phases still open at the end, from each node's pending wake-ups
+        for i, wk in enumerate(pending):
+            if wk[0] < total:   # in backoff since wk[0], to transmit at wk[1] - m
+                t_last = int(wk[1]) - m[i]
+                lo, hi = t_last - total + 1, t_last - max(int(wk[0]) + 1, warmup)
                 target = occ_a[i]
             else:
+                due = int(wk[0])
                 lo, hi = due - total + 1, min(m[i] - 1, due - warmup)
                 target = occ_s[i]
             if lo <= hi:
@@ -521,7 +388,6 @@ def simulate(scenario: Scenario, n, w, cfg: SimConfig) -> SimStats:
         },
         occupancy_active=occ_a,
         occupancy_sleep=occ_s,
-        rng_name="PCG64",
         seed=cfg.seed,
         event_slots=event_slots,
         wall_time_s=time.perf_counter() - t_start,

@@ -4,12 +4,16 @@ This is the simulator's original core: one Python iteration per MAC slot
 with O(N) work in each, skipping ahead in bulk only while every node sleeps.
 A traced run skips ahead the same way and writes an idle line per skipped
 slot, so that tracing leaves the sums, and so the results, as they are.
-`wpcsma.sim.simulate` replaces it with a two-pass core (a loop over the
-wake-ups, then numpy over pieces of slots) that must give the same
+`wpcsma.sim.simulate` replaces it with a two-pass core (numpy over each
+node's wake-ups, then numpy over pieces of slots) that must give the same
 `SimStats` bit for bit, and the same trace file byte for byte, for every
-seed; `tests/test_sim.py` holds the two against each other. The only
-addition to the original loop is `event_slots`, the count of slots in which
-some node's counter reads 0 (a node wakes or transmits there).
+seed; `tests/test_sim.py` holds the two against each other. Each node draws
+from a stream of its own, spawned from the seed, one scalar
+`integers` call per draw: its sleep phase, then its backoffs in turn. The
+core draws its backoffs a block at a time from the same streams, so the two
+agree only if block draws equal scalar ones. The other addition to the
+original loop is `event_slots`, the count of slots in which some node's
+counter reads 0 (a node wakes or transmits there).
 """
 
 from __future__ import annotations
@@ -57,10 +61,11 @@ def simulate_slot_loop(scenario, n, w, cfg) -> SimStats:
     t_col = md.t_col
     sigma = p.sigma
 
-    rng = np.random.default_rng(cfg.seed)
+    rngs = [np.random.Generator(np.random.PCG64(c))
+            for c in np.random.SeedSequence(cfg.seed).spawn(nn)]
     # random sleep phase avoids synchronized starts; warmup does the rest
     active = [False] * nn
-    counter = [int(rng.integers(0, m[i])) for i in range(nn)]
+    counter = [int(rngs[i].integers(0, m[i])) for i in range(nn)]
     drawn_backoff = [0] * nn
 
     total = cfg.n_slots
@@ -175,7 +180,7 @@ def simulate_slot_loop(scenario, n, w, cfg) -> SimStats:
                 else:
                     if counter[i] == 0:
                         active[i] = True
-                        drawn_backoff[i] = int(rng.integers(0, w[i]))
+                        drawn_backoff[i] = int(rngs[i].integers(0, w[i]))
                         counter[i] = drawn_backoff[i]
                     else:
                         counter[i] -= 1
@@ -215,7 +220,7 @@ def simulate_slot_loop(scenario, n, w, cfg) -> SimStats:
         },
         occupancy_active=occ_a,
         occupancy_sleep=occ_s,
-        rng_name="PCG64",
+        rng_name="PCG64 per node (SeedSequence.spawn)",
         seed=cfg.seed,
         event_slots=event_slots,
     )

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,6 @@ from wpcsma import (InvalidParameterError, SimConfig, alpha_from_tau,
                     bundled_scenario, empirical_energy_check, evaluate,
                     simulate, stationary_distribution, tau_from_window)
 import wpcsma.sim as sim_mod
-from wpcsma.sim import BoundedDraws
 from wpcsma.timing import frame_times
 
 from conftest import PROTO, make_node, make_scenario
@@ -26,7 +27,7 @@ def test_determinism():
     assert np.array_equal(a.throughput, b.throughput)
     assert np.array_equal(a.energy_per_cycle, b.energy_per_cycle)
     assert a.total_time == b.total_time
-    assert a.rng_name == "PCG64"
+    assert a.rng_name == "PCG64 per node (SeedSequence.spawn)"
 
 
 def test_conservation_of_time_and_bits():
@@ -148,6 +149,35 @@ def test_trace_file(tmp_path):
         _assert_same_stats(traced, simulate(scn, n, w, SimConfig(**common)))
 
 
+def test_node_streams_are_independent(tmp_path):
+    # each node draws from its own stream, so a change to one node's window
+    # moves none of the other nodes' transmissions
+    scn = make_scenario([make_node(n_max=6) for _ in range(4)])
+    n = [2, 3, 4, 5]
+
+    def run(w):
+        path = tmp_path / "trace.csv"
+        st = simulate(scn, n, w, SimConfig(n_slots=20_000, seed=8, warmup_slots=500,
+                                           trace_path=str(path)))
+        sent = {i: [] for i in range(len(n))}
+        for line in path.read_text().splitlines()[1:]:
+            slot, _, who = line.split(",")
+            for i in who.split("|") if who else ():
+                sent[int(i)].append(int(slot))
+        return st.cycles, sent
+
+    cycles, sent = run([4, 9, 16, 7])
+    for j, window in ((1, 30), (3, 1)):
+        w = [4, 9, 16, 7]
+        w[j] = window
+        cycles_j, sent_j = run(w)
+        assert sent_j[j] != sent[j]
+        for i in range(len(n)):
+            if i != j:
+                assert sent_j[i] == sent[i], (j, i)
+                assert cycles_j[i] == cycles[i], (j, i)
+
+
 def test_trace_file_closed_when_run_raises(tmp_path, monkeypatch):
     # a write that fails mid-run (a full disk) must not leak the open file
     opened = []
@@ -240,19 +270,24 @@ _EDGE_BOUNDS = [1, 2, 3, 2**31 + 1, 2**32, 2**32 + 1, 2**40 + 3]
 @pytest.mark.parametrize("block", [1, 3, 1024])
 @pytest.mark.parametrize("seed", range(5))
 def test_bounded_draws_match_generator_integers(monkeypatch, seed, block):
-    # random bounds with the edge cases mixed into one stream: w = 1 takes no
-    # random word, 2**32 takes one 32-bit half unreduced, and bounds above
-    # 2**32 take whole 64-bit outputs while a kept half waits; small refill
-    # blocks put those cases at the ends of the buffer
-    monkeypatch.setattr(sim_mod, "_DRAW_BLOCK", block)
+    # a block of backoffs drawn by _next_wakes must equal as many scalar
+    # integers(0, w) calls on the same stream, also where the bound changes
+    # between blocks: w = 1 takes no random word, bounds up to 2**32 take
+    # 32-bit halves (the bit generator keeps the other half for the next
+    # call), and bounds above 2**32 take whole 64-bit outputs
+    monkeypatch.setattr(sim_mod, "_BACKOFF_BLOCK", block)
     pick = np.random.default_rng(1000 + seed)
-    bounds = [int(v) for v in pick.integers(1, 2**31, 4000)]
-    bounds += [int(v) for v in pick.integers(1, 40, 2000)]
-    bounds += _EDGE_BOUNDS * 40
+    calls = max(4000 // block, 4)
+    bounds = [int(v) for v in pick.integers(1, 2**31, calls)]
+    bounds += [int(v) for v in pick.integers(1, 40, calls)]
+    bounds += _EDGE_BOUNDS * 3
     pick.shuffle(bounds)
+    gen = np.random.default_rng(seed)
     ref = np.random.default_rng(seed)
-    draw = BoundedDraws(np.random.default_rng(seed))
-    assert [draw(w) for w in bounds] == [int(ref.integers(0, w)) for w in bounds]
+    for w in bounds:
+        # wake-ups at 0 with m = 0: each wake slot is the last plus 1 + d
+        drawn = np.diff(sim_mod._next_wakes(gen, 0, w, 0, 2**62), prepend=0) - 1
+        assert drawn.tolist() == [int(ref.integers(0, w)) for _ in range(block)], w
 
 
 _SLOTS = 24_013   # measured slots of a case at the default piece rule
@@ -283,9 +318,14 @@ def _oracle_cases():
     # one 64-bit counter per window value (32 GiB)
     cases.append(pytest.param(3, [2, 3, 4], [2**32 + 5, 9, 16], 611, {}, False, _SLOTS,
                               id="N3-W-above-2^32"))
-    # W = 1 nodes beside drawing ones, all with m = 2: wake slots coincide
-    # often, and the nodes of one slot must draw in node order although the
-    # W = 1 ones are kept out of the draw loop
+    # windows near the top of int64, which the CLI accepts: a backoff this
+    # long pushes the wake slots that follow past what int64 holds
+    cases.append(pytest.param(3, [2, 3, 4], [2**62, 9, 16], 611, {}, False, _SLOTS,
+                              id="N3-W-2^62"))
+    cases.append(pytest.param(3, [2, 3, 4], [2**63 - 1, 9, 16], 611, {}, False, _SLOTS,
+                              id="N3-W-2^63-1"))
+    # W = 1 nodes beside drawing ones, all with m = 2: wake slots and
+    # transmissions of several nodes coincide often
     cases.append(pytest.param(6, [1] * 6, [1, 2, 1, 3, 1, 2], 611, {"h": 1, "g": 1},
                               True, _SLOTS, id="N6-W1-beside-drawing-m2"))
     # every node at W = 1, so no node draws, with pieces of 8192 slots at
@@ -320,6 +360,9 @@ def _assert_same_stats(a, b):
 # its runs (one slot per piece costs a numpy pass per slot, so it runs
 # shorter), then the default rule (None) at the case's own length.
 _PIECES = ((1, 201), (7, 1_207), (64, _SLOTS), (None, None))
+# Backoffs a node draws at a time: blocks of 1 and 3 run out inside pieces
+# and at their edges, and every block equals the oracle's scalar draws.
+_BLOCKS = (1, 3, sim_mod._BACKOFF_BLOCK)
 
 
 @pytest.mark.parametrize("nn, n, w, warmup, node_kw, occupancy, slots", _oracle_cases())
@@ -329,7 +372,8 @@ def test_event_core_matches_slot_loop(tmp_path, monkeypatch, nn, n, w, warmup,
     want = {}
     spans = []
     rule = sim_mod._piece_slots
-    for piece, measured in _PIECES:
+    for (piece, measured), block in itertools.product(_PIECES, _BLOCKS):
+        monkeypatch.setattr(sim_mod, "_BACKOFF_BLOCK", block)
         if piece is None:
             measured = slots
             monkeypatch.setattr(sim_mod, "_piece_slots",
