@@ -15,9 +15,9 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, energy, mac, model, sim
-from .optimize import (DecisionVector, OptimizerConfig, check_kkt, solve_bcd,
-                       utility)
+from . import __version__, mac, optimize, sim
+from .optimize import (DecisionVector, OptimizerConfig, check_kkt,
+                       decision_reports, solve_bcd, utility)
 from .params import InfeasibleError, InvalidParameterError, InvalidStateError
 from .scenario_io import bundled_scenario, load_scenario
 
@@ -79,13 +79,11 @@ _TABLE_HEADER = ["node", "n", "alpha", "tau", "w_recovered", "throughput_bps",
                  "airtime", "energy_consumed_j", "energy_received_j", "slack_j"]
 
 
-def _table_rows(scenario, dv: DecisionVector):
-    perf = mac.evaluate(scenario, dv.n, dv.alpha)
-    slacks = model.slacks(model.build(scenario), dv.n, dv.alpha)
+def _table_rows(dv: DecisionVector, perf, breakdowns, slacks):
+    """Table rows and sidecar payload from `decision_reports` at dv."""
     rows = []
     payload = {"nodes": []}
-    for i in range(scenario.n_nodes):
-        br = energy.cycle_energy(scenario, i, dv.n, dv.alpha)
+    for i, br in enumerate(breakdowns):
         slack = float(slacks[i])
         rows.append([i, dv.n[i], dv.alpha[i], perf.tau[i], perf.window[i],
                      perf.throughput[i], perf.airtime[i], br.e_total,
@@ -115,7 +113,7 @@ def cmd_analyze(args) -> int:
     scenario = load_scenario(args.scenario)
     dv = _load_point(args.point, scenario.n_nodes)
     utility(scenario, dv)  # validates the box constraints
-    rows, payload = _table_rows(scenario, dv)
+    rows, payload = _table_rows(dv, *decision_reports(scenario, dv.n, dv.alpha))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     meta = _meta(scenario, command="analyze")
@@ -141,15 +139,14 @@ def _optimizer_config(path) -> OptimizerConfig:
 
 def cmd_optimize(args) -> int:
     scenario = load_scenario(args.scenario)
-    cfg = _optimizer_config(args.config)
-    res = solve_bcd(scenario, cfg)
-    rows, payload = _table_rows(scenario, res.decision)
+    res = solve_bcd(scenario, _optimizer_config(args.config))
+    rows, payload = _table_rows(res.decision, res.perf, res.energy, res.slacks)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     trace_path = out / "utility_trace.csv"
     meta = _meta(scenario, command="optimize", status=res.status,
                  outer_iterations=res.outer_iters,
-                 outer_tol=cfg.outer_tol, inner_tol=cfg.inner_tol,
+                 outer_tol=optimize.OUTER_TOL, inner_tol=optimize.INNER_TOL,
                  utility=repr(res.utility), utility_trace=trace_path.name)
     write_csv(out / "optimize.csv", _TABLE_HEADER, rows, meta)
     write_csv(trace_path, ["iteration", "utility"],
@@ -167,35 +164,25 @@ def cmd_optimize(args) -> int:
     return EXIT_OK if res.status == "converged" else EXIT_TOLERANCE
 
 
-def integer_point(scenario, dv: DecisionVector):
-    """Integer (n, W) nearest to a continuous decision, W clamped >= 1.
-
-    A window that does not fit a 64-bit integer is refused, not wrapped.
-    """
+def _integer_point(scenario, dv: DecisionVector):
+    """(n, W, tau): n rounded into 1..n_max, and `mac.integer_window` at it."""
     n_int = np.maximum(1, np.rint(dv.n).astype(int))
     n_int = np.minimum(n_int, [nd.duty.n_max for nd in scenario.nodes])
     m_int = np.array([nd.duty.sleep_slots(v)
                       for nd, v in zip(scenario.nodes, n_int)])
-    w = np.rint(mac.window_from_alpha(dv.alpha, m_int))
-    too_wide = np.flatnonzero(~(w < 2.0 ** 63))
-    if too_wide.size:
-        i = too_wide[0]
-        raise InvalidParameterError(
-            f"node {i}: alpha {float(dv.alpha[i])!r} gives the window {w[i]:.6g}, "
-            f"which does not fit a 64-bit integer")
-    w_int = np.maximum(1, w.astype(np.int64))
-    return n_int, w_int
+    return (n_int, *mac.integer_window(dv.alpha, m_int))
+
+
+def integer_point(scenario, dv: DecisionVector):
+    """Integer (n, W) nearest to a continuous decision (`mac.integer_window`)."""
+    return _integer_point(scenario, dv)[:2]
 
 
 def cmd_simulate(args) -> int:
     scenario = load_scenario(args.scenario)
     dv = _load_point(args.point, scenario.n_nodes)
-    n_int, w_int = integer_point(scenario, dv)
-    m_int = np.array([nd.duty.sleep_slots(v)
-                      for nd, v in zip(scenario.nodes, n_int)])
-    taus = mac.tau_from_window(w_int.astype(float), m_int)
-    alpha_int = mac.alpha_from_tau(taus)
-    perf = mac.evaluate(scenario, n_int.astype(float), alpha_int)
+    n_int, w_int, taus = _integer_point(scenario, dv)
+    perf = mac.evaluate(scenario, n_int.astype(float), mac.alpha_from_tau(taus))
 
     out = Path(args.out)
     cfg = sim.SimConfig(n_slots=args.slots, seed=args.seed,

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import model
-from .params import InvalidStateError, Scenario, require
+from .params import InvalidParameterError, InvalidStateError, Scenario, require
 
 
 # --- attempt-rate conversions (single source of truth for both the
@@ -45,6 +45,20 @@ def window_from_alpha(alpha, m):
     Callers that need a real window must clamp to >= 1.
     """
     return 2.0 * (1.0 + alpha) / alpha - 2.0 * m - 1.0
+
+
+def integer_window(alpha, m):
+    """(W, tau): W = max(1, rint(window_from_alpha(alpha, m))) and the attempt
+    probability it realizes. A W past 64-bit integers is refused, not wrapped."""
+    w = np.rint(window_from_alpha(alpha, m))
+    too_wide = np.flatnonzero(~(w < 2.0 ** 63))
+    if too_wide.size:
+        i = too_wide[0]
+        raise InvalidParameterError(
+            f"node {i}: alpha {float(alpha[i])!r} gives the window {w[i]:.6g}, "
+            f"which does not fit a 64-bit integer")
+    w = np.maximum(1, w.astype(np.int64))
+    return w, tau_from_window(w.astype(float), m)
 
 
 def stationary_distribution(w: int, m: int):

@@ -43,25 +43,24 @@ class DecisionVector:
         require(np.all(self.alpha <= 0.5), "each alpha must be <= 0.5")
 
 
+# One setting for every solve and every certificate, so that the solver and
+# `check_kkt` judge a point against the same box.
+OUTER_TOL = 1e-8       # relative utility change of one SQP iteration
+MOVE_TOL = 1e-9        # max move of one SQP iteration (n relative, alpha absolute)
+INNER_TOL = 1e-10      # relative objective change inside a block solve
+MAX_INNER_ITERS = 100  # iterations of one block solve
+ALPHA_FLOOR = 1e-6     # lower alpha box end, guarding the open alpha > 0
+KKT_TOL = 1e-4         # largest scaled residual entry `check_kkt` accepts
+
+
 @dataclass(frozen=True)
 class OptimizerConfig:
-    outer_tol: float = 1e-8       # relative utility change of one SQP iteration
-    inner_tol: float = 1e-10      # relative objective change inside a block solve
     max_outer_iters: int = 200    # SQP iterations
-    max_inner_iters: int = 100    # iterations of one block solve
-    alpha_floor: float = 1e-6     # lower alpha box end, guarding the open alpha > 0
-    move_tol: float = 1e-9        # max move of one SQP iteration (n relative, alpha absolute)
 
     def __post_init__(self):
-        for name in ("max_outer_iters", "max_inner_iters"):
-            v = getattr(self, name)
-            require(isinstance(v, numbers.Integral) and not isinstance(v, bool)
-                    and v >= 1, f"{name} must be an integer >= 1, got {v!r}")
-        for name in ("outer_tol", "inner_tol", "alpha_floor", "move_tol"):
-            v = getattr(self, name)
-            require(isinstance(v, numbers.Real) and not isinstance(v, bool)
-                    and math.isfinite(v) and v > 0,
-                    f"{name} must be a finite number > 0, got {v!r}")
+        v = self.max_outer_iters
+        require(isinstance(v, numbers.Integral) and not isinstance(v, bool)
+                and v >= 1, f"max_outer_iters must be an integer >= 1, got {v!r}")
 
 
 def _utility_raw(md, n, alpha) -> float:
@@ -79,12 +78,13 @@ def utility(scenario: Scenario, dv: DecisionVector) -> float:
     return _utility_raw(md, dv.n, dv.alpha)
 
 
-def argmax_log_minus_linear(gamma: float, lo: float, hi: float) -> float:
-    """Maximizer of log(x) - gamma*x over [lo, hi] (closed form)."""
-    require(lo <= hi and lo > 0, "interval must satisfy 0 < lo <= hi")
-    if gamma <= 0.0:
-        return hi
-    return min(max(1.0 / gamma, lo), hi)
+def argmax_log_minus_linear(gamma, lo, hi):
+    """Maximizer of log(x) - gamma*x over [lo, hi] (closed form), elementwise."""
+    require(bool(np.all((lo <= hi) & (lo > 0))), "interval must satisfy 0 < lo <= hi")
+    # 1/gamma where gamma > 0; +inf, which clips to hi, elsewhere
+    inv = np.divide(1.0, gamma, out=np.full(np.shape(gamma), np.inf),
+                    where=np.greater(gamma, 0.0))
+    return np.minimum(np.maximum(inv, lo), hi)
 
 
 def sample_intervals(scenario: Scenario, alpha):
@@ -130,7 +130,7 @@ def _sample_intervals(md, alpha):
     return lo, hi
 
 
-def solve_n_block(scenario: Scenario, alpha, n0, cfg: OptimizerConfig | None = None):
+def solve_n_block(scenario: Scenario, alpha, n0):
     """Best sample counts at fixed attempt odds (iterated linearization).
 
     Each iteration replaces the concave log-load term by its tangent at the
@@ -138,28 +138,25 @@ def solve_n_block(scenario: Scenario, alpha, n0, cfg: OptimizerConfig | None = N
     closed form over the feasible box. The true block objective is
     non-decreasing along the iterates.
     """
-    return _solve_n_block(model.build(scenario), alpha, n0, cfg or OptimizerConfig())
+    return _solve_n_block(model.build(scenario), alpha, n0)
 
 
-def _solve_n_block(md, alpha, n0, cfg: OptimizerConfig):
+def _solve_n_block(md, alpha, n0):
     alpha = np.asarray(alpha, dtype=float)
     n = np.clip(np.asarray(n0, dtype=float), 1.0, md.duty.n_max)
     lo, hi = _sample_intervals(md, alpha)
     slope = md.per_ratio * alpha  # dX/dn_i, constant
     f_prev = None
-    for _ in range(cfg.max_inner_iters):
-        gamma = md.n * slope / model.load(md, n, alpha)
-        # argmax_log_minus_linear per node; slope > 0, so gamma > 0
-        n = np.minimum(np.maximum(1.0 / gamma, lo), hi)
+    for _ in range(MAX_INNER_ITERS):
+        n = argmax_log_minus_linear(md.n * slope / model.load(md, n, alpha), lo, hi)
         f_cur = float(np.sum(np.log(n))) - md.n * np.log(model.load(md, n, alpha))
-        if f_prev is not None and abs(f_cur - f_prev) <= cfg.inner_tol * max(1.0, abs(f_cur)):
+        if f_prev is not None and abs(f_cur - f_prev) <= INNER_TOL * max(1.0, abs(f_cur)):
             break
         f_prev = f_cur
     return n
 
 
-def attempt_interval(scenario: Scenario, n, alpha, i: int,
-                     floor: float = 1e-6):
+def attempt_interval(scenario: Scenario, n, alpha, i: int):
     """Feasible interval for node i's attempt odds, all else fixed.
 
     The lower end comes from node i's own energy constraint (backoff
@@ -167,14 +164,14 @@ def attempt_interval(scenario: Scenario, n, alpha, i: int,
     (node i attempting more often makes the others' transmissions collide,
     which costs them less than a full exchange). Raises when empty.
     """
-    return _attempt_interval(model.build(scenario), n, alpha, i, floor)
+    return _attempt_interval(model.build(scenario), n, alpha, i)
 
 
-def _attempt_interval(md, n, alpha, i: int, floor: float):
+def _attempt_interval(md, n, alpha, i: int):
     n = np.asarray(n, dtype=float)
     alpha = np.asarray(alpha, dtype=float)
     prod_all = float(np.prod(1.0 + alpha))
-    lo = floor
+    lo = ALPHA_FLOOR
     hi = 0.5
     prod_inv_i = (1.0 + alpha[i]) / prod_all
     rhs_own = md.f[i] - md.a[i] * n[i] - (md.c[i] * n[i] + md.d[i]) * prod_inv_i
@@ -215,28 +212,26 @@ def _attempt_interval(md, n, alpha, i: int, floor: float):
     return lo, hi
 
 
-def solve_alpha_block(scenario: Scenario, n, alpha, i: int,
-                      cfg: OptimizerConfig | None = None) -> float:
+def solve_alpha_block(scenario: Scenario, n, alpha, i: int) -> float:
     """Best attempt odds for node i, all else fixed (iterated linearization).
 
     The load factor is affine in alpha_i, so the concave log-load term is
     linearized at the current iterate and log(alpha) - gamma*alpha is
     maximized in closed form on the feasible interval.
     """
-    cfg = cfg or OptimizerConfig()
     md = model.build(scenario)
     n = np.asarray(n, dtype=float)
     alpha = np.asarray(alpha, dtype=float).copy()
-    lo, hi = _attempt_interval(md, n, alpha, i, cfg.alpha_floor)
+    lo, hi = _attempt_interval(md, n, alpha, i)
     prod_others = float(np.prod(1.0 + alpha)) / (1.0 + alpha[i])
     slope = md.per_ratio[i] * n[i] + md.ovh_ratio[i] + prod_others
     alpha[i] = min(max(alpha[i], lo), hi)
     f_prev = None
-    for _ in range(cfg.max_inner_iters):
+    for _ in range(MAX_INNER_ITERS):
         x = model.load(md, n, alpha)
         alpha[i] = argmax_log_minus_linear(md.n * slope / x, lo, hi)
         f_cur = np.log(alpha[i]) - md.n * np.log(model.load(md, n, alpha))
-        if f_prev is not None and abs(f_cur - f_prev) <= cfg.inner_tol * max(1.0, abs(f_cur)):
+        if f_prev is not None and abs(f_cur - f_prev) <= INNER_TOL * max(1.0, abs(f_cur)):
             break
         f_prev = f_cur
     return float(alpha[i])
@@ -309,9 +304,9 @@ def _derivatives(md, n, alpha, scale):
     return grad, np.vstack([jac, eye, -eye])
 
 
-def _bounds(md, floor: float):
-    """The boxes 1 <= n <= n_max and floor <= alpha <= 0.5 in z."""
-    return (np.concatenate([np.zeros(md.n), np.full(md.n, math.log(floor))]),
+def _bounds(md):
+    """The boxes 1 <= n <= n_max and ALPHA_FLOOR <= alpha <= 0.5 in z."""
+    return (np.concatenate([np.zeros(md.n), np.full(md.n, math.log(ALPHA_FLOOR))]),
             np.concatenate([np.log(md.duty.n_max), np.full(md.n, math.log(0.5))]))
 
 
@@ -365,13 +360,13 @@ def _line_search(md, z, d, u, lo, hi, scale):
     return None
 
 
-def _start(md, cfg: OptimizerConfig):
+def _start(md):
     """Best energy-feasible point with one common alpha for every node."""
     best = None
-    for a in np.geomspace(max(1e-4, cfg.alpha_floor), 0.5, 60):
+    for a in np.geomspace(max(1e-4, ALPHA_FLOOR), 0.5, 60):
         alpha = np.full(md.n, a)
         try:
-            n = _solve_n_block(md, alpha, np.ones(md.n), cfg)
+            n = _solve_n_block(md, alpha, np.ones(md.n))
         except InfeasibleError as err:
             error = err           # the last one is the diagnosis at alpha = 0.5
             continue
@@ -381,6 +376,13 @@ def _start(md, cfg: OptimizerConfig):
     if best is None:
         raise error
     return best[1], best[2]
+
+
+def decision_reports(scenario: Scenario, n, alpha):
+    """The model at a decision: PerfReport, EnergyBreakdown per node, slacks."""
+    return (mac.evaluate(scenario, n, alpha),
+            tuple(energy.cycle_energy(scenario, i, n, alpha) for i in range(scenario.n_nodes)),
+            model.slacks(model.build(scenario), n, alpha))
 
 
 @dataclass
@@ -409,14 +411,14 @@ def solve_bcd(scenario: Scenario, cfg: OptimizerConfig | None = None) -> OptResu
     Hessian. The step is halved until `_feasible_trial` keeps it (every slack
     >= -1e-18 J) and U rises; if no step does, the iterate stays. From the
     second iteration on, stops once the utility change and the largest move
-    are within `outer_tol` and `move_tol`. Raises InfeasibleError with
+    are within `OUTER_TOL` and `MOVE_TOL`. Raises InfeasibleError with
     per-node details when no common alpha admits feasible sample counts.
     """
     cfg = cfg or OptimizerConfig()
     md = model.build(scenario)
-    lo, hi = _bounds(md, cfg.alpha_floor)
+    lo, hi = _bounds(md)
     scale = _energy_scale(md)
-    n, alpha = _start(md, cfg)
+    n, alpha = _start(md)
     z = np.log(np.concatenate([n, alpha]))
     u = _utility_raw(md, n, alpha)
     grad, rows = _derivatives(md, n, alpha, scale)
@@ -442,15 +444,12 @@ def solve_bcd(scenario: Scenario, cfg: OptimizerConfig | None = None) -> OptResu
             du = abs(u - trace[-2]) / max(1.0, abs(u))
             move = max(float(np.max(np.abs(n - n_before) / np.maximum(1.0, n_before))),
                        float(np.max(np.abs(alpha - alpha_before))))
-            if du <= cfg.outer_tol and move <= cfg.move_tol:
+            if du <= OUTER_TOL and move <= MOVE_TOL:
                 status = "converged"
                 break
 
     dv = DecisionVector(n=n, alpha=alpha)
-    perf = mac.evaluate(scenario, n, alpha)
-    breakdowns = tuple(energy.cycle_energy(scenario, i, n, alpha)
-                       for i in range(md.n))
-    slacks = model.slacks(md, n, alpha)
+    perf, breakdowns, slacks = decision_reports(scenario, n, alpha)
     if np.any(perf.window < 1.0):
         bad = np.nonzero(perf.window < 1.0)[0]
         warnings.warn(
@@ -482,10 +481,9 @@ def round_decision(scenario: Scenario, dv: DecisionVector):
 
     Floors the sample counts, lifts any node whose energy constraint bounds
     n from below, then greedily increments while within the sample intervals
-    and utility improves. The window is the recovered one rounded to an
-    integer >= 1. Returns (n, W, feasible), where feasible says whether every
-    node is energy-neutral at the attempt odds alpha(W, m) that the integer
-    point itself realizes.
+    and utility improves. The window is `mac.integer_window`'s. Returns
+    (n, W, feasible), where feasible says whether every node is energy-neutral
+    at the attempt odds alpha(W, m) that the integer point itself realizes.
     """
     md = model.build(scenario)
     lo, hi = _sample_intervals(md, dv.alpha)
@@ -511,12 +509,9 @@ def round_decision(scenario: Scenario, dv: DecisionVector):
                 n_int[best_i] += 1.0
                 u_cur += best_gain
                 improved = True
-    m_int = n_int * md.duty.h + md.duty.g
-    w_real = mac.window_from_alpha(dv.alpha, m_int)
-    w_int = np.maximum(1.0, np.rint(w_real))
-    alpha_int = mac.alpha_from_tau(mac.tau_from_window(w_int, m_int))
-    feasible = bool(np.all(model.slacks(md, n_int, alpha_int) >= 0.0))
-    return n_int.astype(int), w_int.astype(int), feasible
+    w_int, tau_int = mac.integer_window(dv.alpha, n_int * md.duty.h + md.duty.g)
+    feasible = bool(np.all(model.slacks(md, n_int, mac.alpha_from_tau(tau_int)) >= 0.0))
+    return n_int.astype(int), w_int, feasible
 
 
 @dataclass
@@ -548,18 +543,18 @@ class KktReport:
         return all(e.ok for e in self.entries)
 
 
-def check_kkt(scenario: Scenario, dv: DecisionVector, tol: float = 1e-4) -> KktReport:
+def check_kkt(scenario: Scenario, dv: DecisionVector) -> KktReport:
     """First-order optimality certificate at a feasible decision.
 
     Takes as active the energy slacks within 1e-7 of |f| and the boxes of z
     at their ends, and finds their multipliers by NNLS. Entry k carries
     coordinate k of grad U + sum lambda grad g over max(1, ||grad U||); it
-    is ok within `tol`, and `ok` needs every entry ok. This also fails a
+    is ok within `KKT_TOL`, and `ok` needs every entry ok. This also fails a
     point where one active constraint holds several coordinates, so that
     none can move alone but a joint move still gains.
     """
     md = model.build(scenario)
-    lo, hi = _bounds(md, OptimizerConfig.alpha_floor)
+    lo, hi = _bounds(md)
     scale = _energy_scale(md)
     grad, rows = _derivatives(md, dv.n, dv.alpha, scale)
     z = np.log(np.concatenate([dv.n, dv.alpha]))
@@ -573,7 +568,7 @@ def check_kkt(scenario: Scenario, dv: DecisionVector, tol: float = 1e-4) -> KktR
     values = np.concatenate([dv.n, dv.alpha])
     return KktReport(
         entries=[KktEntry(name=c, value=float(v), derivative=float(d),
-                          residual=float(r), ok=bool(abs(r) <= tol))
+                          residual=float(r), ok=bool(abs(r) <= KKT_TOL))
                  for c, v, d, r in zip(coords, values, grad, res)],
         residual=float(np.linalg.norm(res)),
         active=[name for name, a in zip(names, on) if a], multipliers=lam)

@@ -1,13 +1,14 @@
 """Slot-level Monte Carlo simulator of the duty-cycled CSMA/CA model.
 
-This is the independent oracle for the analytical model: nodes step through
-the same (A, k)/(S, k) chain the model analyzes, but attempts collide for
-real instead of being assumed independent across nodes. One MAC slot is one
-step for every node; sleep counters decrement once per slot regardless of the
-slot's wall-clock duration (the model's decoupling of chain steps from wall
-time, kept deliberately). A node whose fresh backoff draw is 0 transmits in
-the following slot. Collided packets are dropped and the node sleeps; there
-are no retransmissions.
+An independent implementation of the analytical model: nodes step through
+the same (A, k)/(S, k) chain the model analyzes, and attempts collide for
+real. One MAC slot is one step for every node; sleep counters decrement once
+per slot regardless of the slot's wall-clock duration (the model's
+decoupling of chain steps from wall time, kept deliberately). A node whose
+fresh backoff draw is 0 transmits in the following slot. Collided packets
+are dropped and the node sleeps; there are no retransmissions. So the nodes
+are independent chains, exactly as the model assumes: agreement with the
+model checks the code of both, not the decoupling approximation.
 
 Because every counter steps once per slot, a node's schedule does not depend
 on the other nodes: it wakes where its sleep counter reads 0, draws a backoff

@@ -203,6 +203,12 @@ def test_exit_code_invalid_input(tmp_path, capsys):
     '{"move_tol": -1}',            # ran silently to the iteration cap
     '{"max_inner_iters": true}',   # was taken as 1
     '{"alpha_floor": NaN}',
+    # fixed settings, no longer fields: unknown keys, whatever their value
+    '{"alpha_floor": 0.2}',
+    '{"outer_tol": 1e-6}',
+    '{"move_tol": 1e-6}',
+    '{"inner_tol": 1e-12}',
+    '{"max_inner_iters": 50}',
 ])
 def test_bad_optimizer_config_exits_invalid(tmp_path, capsys, config):
     cpath = tmp_path / "config.json"
@@ -211,6 +217,18 @@ def test_bad_optimizer_config_exits_invalid(tmp_path, capsys, config):
                  "--out", str(tmp_path / "o")])
     assert code == 3
     assert "invalid input" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_optimizer_config_max_outer_iters(tmp_path):
+    # the one field: a cap the solve never reaches changes nothing
+    cpath = tmp_path / "config.json"
+    cpath.write_text('{"max_outer_iters": 500}')
+    base = ["optimize", "--scenario", str(_EXAMPLE1)]
+    assert main(base + ["--out", str(tmp_path / "plain")]) == 0
+    assert main(base + ["--config", str(cpath), "--out", str(tmp_path / "capped")]) == 0
+    assert ((tmp_path / "capped" / "optimize.json").read_bytes()
+            == (tmp_path / "plain" / "optimize.json").read_bytes())
 
 
 def test_point_length_mismatch(tmp_path):

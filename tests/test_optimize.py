@@ -8,6 +8,7 @@ import pytest
 from wpcsma import (DecisionVector, InfeasibleError, InvalidParameterError,
                     OptimizerConfig, check_kkt, evaluate, solve_alpha_block,
                     solve_n_block, utility)
+from wpcsma import optimize
 from wpcsma.energy import cycle_energy
 from wpcsma.mac import alpha_from_tau, tau_from_window
 from wpcsma.model import build, load, slacks
@@ -262,7 +263,7 @@ def test_log_load_concave_along_coordinates():
 
 
 def test_kkt_at_bcd_solution(solved_example1, example1):
-    report = check_kkt(example1, solved_example1.decision, tol=1e-4)
+    report = check_kkt(example1, solved_example1.decision)
     assert report.ok
     names = {e.name for e in report.entries}
     assert names == {f"n[{i}]" for i in range(6)} | {f"alpha[{i}]" for i in range(6)}
@@ -270,8 +271,20 @@ def test_kkt_at_bcd_solution(solved_example1, example1):
 
 def test_kkt_flags_suboptimal_point(example1):
     dv = DecisionVector(n=np.full(6, 10.0), alpha=np.full(6, 0.45))
-    report = check_kkt(example1, dv, tol=1e-4)
+    report = check_kkt(example1, dv)
     assert not report.ok
+
+
+def test_kkt_shares_the_solver_alpha_floor(example1, monkeypatch):
+    # one floor for solver and certificate: raised to 0.2, the optimum sits
+    # on it at alpha[3..5], and check_kkt takes those box ends as active
+    monkeypatch.setattr(optimize, "ALPHA_FLOOR", 0.2)
+    res = solve_quiet(example1)
+    assert res.status == "converged"
+    assert np.allclose(res.decision.alpha[3:], 0.2, rtol=1e-12, atol=0)
+    report = check_kkt(example1, res.decision)
+    assert report.ok
+    assert {f"alpha[{i}] lower" for i in (3, 4, 5)} <= set(report.active)
 
 
 def test_round_decision_on_integral_solution(solved_example1, example1):
@@ -350,7 +363,7 @@ def test_bcd_converges_on_slow_n12_instance():
     scn = scenario_from_dict(doc)
     res = solve_quiet(scn, OptimizerConfig(max_outer_iters=60))
     assert res.status == "converged"
-    assert check_kkt(scn, res.decision, tol=1e-4).ok
+    assert check_kkt(scn, res.decision).ok
 
 
 def test_kkt_certificate_known_multipliers():

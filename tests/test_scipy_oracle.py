@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from wpcsma import OptimizerConfig, bundled_scenario, model
+from wpcsma import bundled_scenario, model
 from wpcsma.optimize import (_bounds, _derivatives, _energy_scale, _start,
                              _utility_raw)
 from wpcsma.scenario_io import scenario_from_dict
@@ -23,9 +23,8 @@ optimize = pytest.importorskip("scipy.optimize")
 
 
 def _slsqp(scn):
-    cfg = OptimizerConfig()
     md = model.build(scn)
-    lo, hi = _bounds(md, cfg.alpha_floor)
+    lo, hi = _bounds(md)
     scale = _energy_scale(md)
 
     def split(z):
@@ -43,7 +42,7 @@ def _slsqp(scn):
     def jac(z):
         return _derivatives(md, *split(z), scale)[1][:md.n]
 
-    z0 = np.log(np.concatenate(_start(md, cfg)))
+    z0 = np.log(np.concatenate(_start(md)))
     res = optimize.minimize(neg_u, z0, jac=neg_grad, method="SLSQP",
                             bounds=list(zip(lo, hi)),
                             constraints=[{"type": "ineq", "fun": scaled_slacks, "jac": jac}],

@@ -7,6 +7,8 @@ writes, each into its own subdirectory of OUT:
 
 - reproduce --exp 1 and --exp 2;
 - optimize on example1 and example2, and analyze at each optimum;
+- optimize on example1 with `--config` capping the solver at 3 iterations,
+  which stops at the cap and exits 4;
 - simulate --trace at each optimum;
 - simulate at an example1 point whose integer windows are all W = 16
   (n = n_max on every node).
@@ -81,6 +83,10 @@ def main(argv: list[str]) -> int:
              "--point", point)
         _cli(out, log, f"simulate-{name}", "simulate", "--scenario", scenario,
              "--point", point, *SLOTS, "--trace")
+    config = points / "cap3.json"
+    config.write_text(json.dumps({"max_outer_iters": 3}) + "\n")
+    _cli(out, log, "optimize-example1-cap3", "optimize",
+         "--scenario", str(DATA / "example1.json"), "--config", str(config))
     _cli(out, log, "simulate-example1-w16", "simulate",
          "--scenario", str(DATA / "example1.json"),
          "--point", _w16_point(points / "example1_w16.json"), *SLOTS)
