@@ -60,16 +60,19 @@ def build(scenario: Scenario) -> SimpleNamespace:
     )
 
 
-def load(md, n, alpha) -> float:
+def load(md, n, alpha):
     """Channel-load factor X, the shared throughput denominator.
 
     Bianchi's renewal form of one slot over the collision duration: idle
-    slots, successes with their overhead, and collisions.
+    slots, successes with their overhead, and collisions. Takes (..., N)
+    arrays and reduces over the nodes axis, which must be the last and
+    contiguous for a row to give the bits of its 1-D call; a float for 1-D.
     """
-    return (md.sigma_ratio
-            + float(np.sum(md.per_ratio * n * alpha))
-            + float(np.sum(md.ovh_ratio * alpha))
-            + float(np.prod(1.0 + alpha)) - 1.0)
+    x = (md.sigma_ratio
+         + (md.per_ratio * n * alpha).sum(-1)
+         + (md.ovh_ratio * alpha).sum(-1)
+         + (1.0 + alpha).prod(-1) - 1.0)
+    return float(x) if x.ndim == 0 else x
 
 
 def slacks(md, n, alpha) -> np.ndarray:

@@ -10,7 +10,8 @@ Prog. 59, 1993) whose QPs are least-distance problems solved by NNLS
 multipliers of its active constraints from the same NNLS, and the residual
 of the Lagrangian's gradient per coordinate of z. The one-block solvers
 (closed-form maximizers of log x - gamma*x on an interval) remain for the
-start point and as tools.
+start point and as tools; the start solves its 60 common alphas as one
+(60, N) batch of n blocks, each row stopping on its own test.
 """
 
 from __future__ import annotations
@@ -63,12 +64,14 @@ class OptimizerConfig:
                 and v >= 1, f"max_outer_iters must be an integer >= 1, got {v!r}")
 
 
-def _utility_raw(md, n, alpha) -> float:
-    x = model.load(md, n, alpha)
-    s = alpha * n * md.payload / (x * md.t_col)
-    if np.any(s <= 0.0) or not np.isfinite(x):
+def _utility_raw(md, n, alpha):
+    """U of each (..., N) row, reduced as `model.load` is; a float for 1-D."""
+    x = np.asarray(model.load(md, n, alpha))
+    s = alpha * n * md.payload / (x[..., None] * md.t_col)
+    if (s <= 0.0).any() or not np.isfinite(x).all():
         raise InvalidStateError("throughput must be positive")
-    return float(np.sum(np.log(s)))
+    u = np.log(s).sum(-1)
+    return float(u) if u.ndim == 0 else u
 
 
 def utility(scenario: Scenario, dv: DecisionVector) -> float:
@@ -96,38 +99,35 @@ def sample_intervals(scenario: Scenario, alpha):
     (extra samples cost net energy) or from below (extra samples harvest net
     energy). Raises with a per-node diagnosis when any interval is empty.
     """
-    return _sample_intervals(model.build(scenario), alpha)
+    return _sample_intervals(model.build(scenario), alpha)[:2]
 
 
 def _sample_intervals(md, alpha):
+    """(lo, hi, ok) for each (..., N) row of alpha, ok saying whether every
+    interval of the row is non-empty; a 1-D alpha raises when it is not."""
     alpha = np.asarray(alpha, dtype=float)
-    lo = np.ones(md.n)
-    hi = md.duty.n_max.copy()
-    problems = []
-    prod_all = float(np.prod(1.0 + alpha))
-    for i in range(md.n):
-        prod_inv = (1.0 + alpha[i]) / prod_all
-        k = md.a[i] + md.c[i] * prod_inv
-        r = md.f[i] - md.b[i] / alpha[i] - md.d[i] * prod_inv
-        if k > 0.0:
-            hi[i] = min(hi[i], r / k)
-        elif k < 0.0:
-            lo[i] = max(lo[i], r / k)
-        elif r < 0.0:
-            problems.append(f"node {i}: energy constraint unsatisfiable at any "
-                            f"sample count (deficit {-r:.3e} J)")
-            continue
-        if lo[i] > hi[i]:
-            # a constraint active to rounding error collapses the interval
-            if lo[i] - hi[i] <= 1e-9 * max(1.0, abs(hi[i])):
-                lo[i] = hi[i]
-            else:
-                problems.append(f"node {i}: feasible sample range is empty "
-                                f"(needs n in [{lo[i]:.4g}, {hi[i]:.4g}], "
-                                f"box is [1, {md.duty.n_max[i]:.0f}])")
-    if problems:
-        raise InfeasibleError("energy budget admits no sample count", problems)
-    return lo, hi
+    prod_inv = (1.0 + alpha) / np.prod(1.0 + alpha, axis=-1, keepdims=True)
+    k = md.a + md.c * prod_inv
+    r = md.f - md.b / alpha - md.d * prod_inv
+    with np.errstate(divide="ignore", invalid="ignore"):
+        end = r / k
+    # the forms of min(hi, end) and max(lo, end), NaN included
+    hi = np.where((k > 0.0) & (end < md.duty.n_max), end, md.duty.n_max)
+    lo = np.where((k < 0.0) & (end > 1.0), end, 1.0)
+    dead = (k == 0.0) & (r < 0.0)
+    # a constraint active to rounding error collapses the interval
+    near = lo - hi <= 1e-9 * np.maximum(1.0, np.abs(hi))
+    lo = np.where((lo > hi) & near, hi, lo)
+    empty = (lo > hi) & ~dead
+    ok = ~np.any(dead | empty, axis=-1)
+    if alpha.ndim == 1 and not ok:
+        raise InfeasibleError("energy budget admits no sample count", [
+            f"node {i}: energy constraint unsatisfiable at any sample count "
+            f"(deficit {-r[i]:.3e} J)" if dead[i] else
+            f"node {i}: feasible sample range is empty (needs n in "
+            f"[{lo[i]:.4g}, {hi[i]:.4g}], box is [1, {md.duty.n_max[i]:.0f}])"
+            for i in np.flatnonzero(dead | empty)])
+    return lo, hi, ok
 
 
 def solve_n_block(scenario: Scenario, alpha, n0):
@@ -142,18 +142,31 @@ def solve_n_block(scenario: Scenario, alpha, n0):
 
 
 def _solve_n_block(md, alpha, n0):
+    """Each (..., N) row of alpha solved with the iterates and the stop it
+    has alone; NaN rows where some interval is empty (a 1-D alpha raises)."""
     alpha = np.asarray(alpha, dtype=float)
-    n = np.clip(np.asarray(n0, dtype=float), 1.0, md.duty.n_max)
-    lo, hi = _sample_intervals(md, alpha)
+    lo, hi, ok = _sample_intervals(md, alpha)
+    shape = alpha.shape
+    alpha, lo, hi = (v.reshape(-1, md.n) for v in (alpha, lo, hi))
+    n = np.clip(np.asarray(n0, dtype=float), 1.0, md.duty.n_max).reshape(-1, md.n)
+    n[~ok.reshape(-1)] = np.nan
+    live = np.flatnonzero(ok)
     slope = md.per_ratio * alpha  # dX/dn_i, constant
-    f_prev = None
-    for _ in range(MAX_INNER_ITERS):
-        n = argmax_log_minus_linear(md.n * slope / model.load(md, n, alpha), lo, hi)
-        f_cur = float(np.sum(np.log(n))) - md.n * np.log(model.load(md, n, alpha))
-        if f_prev is not None and abs(f_cur - f_prev) <= INNER_TOL * max(1.0, abs(f_cur)):
+    f_prev = np.zeros(len(n))
+    for it in range(MAX_INNER_ITERS):
+        if not len(live):
             break
-        f_prev = f_cur
-    return n
+        n_new = argmax_log_minus_linear(
+            md.n * slope[live] / model.load(md, n[live], alpha[live])[:, None],
+            lo[live], hi[live])
+        n[live] = n_new
+        f_cur = np.sum(np.log(n_new), axis=-1) - md.n * np.log(
+            model.load(md, n_new, alpha[live]))
+        done = np.abs(f_cur - f_prev[live]) <= INNER_TOL * np.maximum(1.0, np.abs(f_cur))
+        f_prev[live] = f_cur
+        if it > 0:
+            live = live[~done]
+    return n.reshape(shape)
 
 
 def attempt_interval(scenario: Scenario, n, alpha, i: int):
@@ -361,28 +374,28 @@ def _line_search(md, z, d, u, lo, hi, scale):
 
 
 def _start(md):
-    """Best energy-feasible point with one common alpha for every node."""
-    best = None
-    for a in np.geomspace(max(1e-4, ALPHA_FLOOR), 0.5, 60):
-        alpha = np.full(md.n, a)
-        try:
-            n = _solve_n_block(md, alpha, np.ones(md.n))
-        except InfeasibleError as err:
-            error = err           # the last one is the diagnosis at alpha = 0.5
-            continue
-        u = _utility_raw(md, n, alpha)
-        if best is None or u > best[0]:
-            best = (u, n, alpha)
-    if best is None:
-        raise error
-    return best[1], best[2]
+    """Best energy-feasible point with one common alpha for every node: the
+    60 alphas of the grid solved as one batch of n blocks, the first best
+    row kept."""
+    grid = np.geomspace(max(1e-4, ALPHA_FLOOR), 0.5, 60)
+    alpha = np.repeat(grid[:, None], md.n, axis=1)
+    n = _solve_n_block(md, alpha, np.ones_like(alpha))
+    ok = ~np.isnan(n[:, 0])
+    if not np.any(ok):
+        _sample_intervals(md, alpha[-1])  # raises the diagnosis at alpha = 0.5
+    best = int(np.argmax(_utility_raw(md, n[ok], alpha[ok])))
+    return n[ok][best], alpha[ok][best]
 
 
 def decision_reports(scenario: Scenario, n, alpha):
     """The model at a decision: PerfReport, EnergyBreakdown per node, slacks."""
+    return _decision_reports(scenario, model.build(scenario), n, alpha)
+
+
+def _decision_reports(scenario, md, n, alpha):
     return (mac.evaluate(scenario, n, alpha),
             tuple(energy.cycle_energy(scenario, i, n, alpha) for i in range(scenario.n_nodes)),
-            model.slacks(model.build(scenario), n, alpha))
+            model.slacks(md, n, alpha))
 
 
 @dataclass
@@ -449,14 +462,14 @@ def solve_bcd(scenario: Scenario, cfg: OptimizerConfig | None = None) -> OptResu
                 break
 
     dv = DecisionVector(n=n, alpha=alpha)
-    perf, breakdowns, slacks = decision_reports(scenario, n, alpha)
+    perf, breakdowns, slacks = _decision_reports(scenario, md, n, alpha)
     if np.any(perf.window < 1.0):
         bad = np.nonzero(perf.window < 1.0)[0]
         warnings.warn(
             f"recovered contention window below one slot for nodes "
             f"{bad.tolist()}; the alpha box ignores the window floor",
             RuntimeWarning, stacklevel=2)
-    int_n, int_w, int_feasible = round_decision(scenario, dv)
+    int_n, int_w, int_feasible = _round_decision(md, dv)
     return OptResult(decision=dv, utility=trace[-1], utility_trace=trace,
                      perf=perf, energy=breakdowns, slacks=slacks,
                      integer_n=int_n, integer_w=int_w,
@@ -485,30 +498,29 @@ def round_decision(scenario: Scenario, dv: DecisionVector):
     (n, W, feasible), where feasible says whether every node is energy-neutral
     at the attempt odds alpha(W, m) that the integer point itself realizes.
     """
-    md = model.build(scenario)
-    lo, hi = _sample_intervals(md, dv.alpha)
+    return _round_decision(model.build(scenario), dv)
+
+
+def _round_decision(md, dv):
+    lo, hi, _ = _sample_intervals(md, dv.alpha)
     n_int = np.floor(dv.n + 1e-9)
     n_int = np.maximum(n_int, np.ceil(lo - 1e-9))
     n_int = np.minimum(n_int, np.maximum(np.floor(hi + 1e-9), 1.0))
     n_int = np.clip(n_int, 1.0, md.duty.n_max)
     if np.all(n_int >= lo - 1e-9) and np.all(n_int <= hi + 1e-9):
         u_cur = _utility_raw(md, n_int, dv.alpha)
-        improved = True
-        while improved:
-            improved = False
-            best_gain, best_i = 0.0, -1
-            for i in range(md.n):
-                if n_int[i] + 1.0 > min(md.duty.n_max[i], np.floor(hi[i] + 1e-9)):
-                    continue
-                trial = n_int.copy()
-                trial[i] += 1.0
-                gain = _utility_raw(md, trial, dv.alpha) - u_cur
-                if gain > best_gain:
-                    best_gain, best_i = gain, i
-            if best_i >= 0:
-                n_int[best_i] += 1.0
-                u_cur += best_gain
-                improved = True
+        cap = np.minimum(md.duty.n_max, np.floor(hi + 1e-9))
+        while True:
+            # every +1 step as one row; the first best gain wins
+            up = np.flatnonzero(n_int + 1.0 <= cap)
+            trials = np.repeat(n_int[None], len(up), axis=0)
+            trials[np.arange(len(up)), up] += 1.0
+            gains = _utility_raw(md, trials, dv.alpha) - u_cur
+            if not np.any(gains > 0.0):
+                break
+            best = int(np.argmax(gains))
+            n_int[up[best]] += 1.0
+            u_cur += gains[best]
     w_int, tau_int = mac.integer_window(dv.alpha, n_int * md.duty.h + md.duty.g)
     feasible = bool(np.all(model.slacks(md, n_int, mac.alpha_from_tau(tau_int)) >= 0.0))
     return n_int.astype(int), w_int, feasible

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from wpcsma import (DecisionVector, InfeasibleError, InvalidParameterError,
-                    OptimizerConfig, check_kkt, evaluate, solve_alpha_block,
-                    solve_n_block, utility)
+                    OptimizerConfig, bundled_scenario, check_kkt, evaluate,
+                    solve_alpha_block, solve_n_block, utility)
 from wpcsma import optimize
 from wpcsma.energy import cycle_energy
 from wpcsma.mac import alpha_from_tau, tau_from_window
@@ -18,8 +18,11 @@ from wpcsma.optimize import (argmax_log_minus_linear, attempt_interval,
 from wpcsma.scenario_io import scenario_from_dict
 from wpcsma.timing import frame_times
 
+import n_block_oracle as oracle
 from conftest import (PROTO, make_node, make_scenario, random_point,
                       random_scenario, solve_quiet)
+
+DATA = Path(__file__).parent / "data"
 
 
 def bisect_argmax(gamma, lo, hi, iters=80):
@@ -446,7 +449,7 @@ def test_derivatives_match_central_differences(nn):
 def test_bcd_reaches_the_joint_optimum_on_gen48():
     # the 48-node wpbench instance gen48-48000: block coordinate descent with
     # pair moves once stopped here as "converged" at U = -88.28
-    doc = json.loads((Path(__file__).parent / "data" / "gen48_rng48000.json").read_text())
+    doc = json.loads((DATA / "gen48_rng48000.json").read_text())
     scn = scenario_from_dict(doc)
     res = solve_quiet(scn)
     assert res.status == "converged"
@@ -454,3 +457,145 @@ def test_bcd_reaches_the_joint_optimum_on_gen48():
     report = check_kkt(scn, res.decision)
     assert report.ok and report.residual <= 1e-6
     assert np.all(res.slacks >= -1e-18)
+
+
+# --- the batched n block against its scalar form (tests/n_block_oracle.py) ---
+
+def same_bits(got, want) -> bool:
+    got, want = np.asarray(got), np.asarray(want)
+    return got.dtype == want.dtype and got.shape == want.shape \
+        and got.tobytes() == want.tobytes()
+
+
+def _stored(name):
+    return scenario_from_dict(json.loads((DATA / f"{name}.json").read_text()))
+
+
+@pytest.mark.parametrize("name", ["example1", "example2", "gen24_rng24000",
+                                  "gen48_rng48000"])
+def test_start_equals_the_per_alpha_loop(name):
+    md = build(_stored(name) if name.startswith("gen") else bundled_scenario(name))
+    got, want = optimize._start(md), oracle.start(md)
+    assert same_bits(got[0], want[0]) and same_bits(got[1], want[1])
+
+
+def test_start_on_a_partly_infeasible_grid():
+    # backoff listening grows like 1/alpha: only the top third of the grid
+    # admits sample counts
+    md = build(make_scenario([make_node(phi=40e-3), make_node(phi=40e-3, n_max=20)]))
+    grid = np.geomspace(1e-4, 0.5, 60)
+    ok = optimize._sample_intervals(md, np.repeat(grid[:, None], 2, axis=1))[2]
+    assert 0 < ok.sum() < 60 and not ok[0] and ok[-1]
+    got, want = optimize._start(md), oracle.start(md)
+    assert same_bits(got[0], want[0]) and same_bits(got[1], want[1])
+
+
+def test_start_on_an_infeasible_grid_raises_the_diagnosis_at_one_half():
+    md = build(make_scenario([make_node(), make_node(n_max=20)]))
+    with pytest.raises(InfeasibleError) as got:
+        optimize._start(md)
+    with pytest.raises(InfeasibleError) as want:
+        oracle.start(md)
+    assert str(got.value) == str(want.value)
+    assert got.value.details == want.value.details
+    assert len(got.value.details) == 2
+
+
+def test_sample_intervals_diagnoses_in_node_order():
+    # node 1's constraint does not depend on n (k = 0) and has a deficit;
+    # nodes 0 and 2 need more samples than their box allows
+    md = build(make_scenario([make_node(n_max=5)] * 3))
+    md.a, md.c = md.a.copy(), md.c.copy()
+    md.a[1] = md.c[1] = 0.0
+    alpha = np.full(3, 0.5)
+    with pytest.raises(InfeasibleError) as got:
+        optimize._sample_intervals(md, alpha)
+    with pytest.raises(InfeasibleError) as want:
+        oracle.sample_intervals(md, alpha)
+    assert got.value.details == want.value.details
+    assert ["unsatisfiable" in d for d in got.value.details] == [False, True, False]
+
+
+@pytest.mark.parametrize("n_nodes", [1, 7, 8, 9, 24, 48])
+def test_rows_give_the_bits_of_their_one_row_calls(n_nodes):
+    # numpy sums 8 or more entries pairwise: each row of a (G, N) reduction
+    # must still add in the order of its 1-D call
+    rng = np.random.default_rng(n_nodes)
+    stored = {24: "gen24_rng24000", 48: "gen48_rng48000"}
+    md = build(_stored(stored[n_nodes]) if n_nodes in stored
+               else random_scenario(rng, n_nodes))
+    rows = 40
+    # random rows, and rows around the start point's feasible common alpha
+    alpha = np.exp(rng.uniform(np.log(1e-3), np.log(0.5), (rows, n_nodes)))
+    near = optimize._start(md)[1] * np.exp(rng.uniform(-0.2, 0.2, (rows // 2, n_nodes)))
+    alpha[::2] = np.minimum(near, 0.5)
+    n = rng.uniform(1.0, md.duty.n_max, (rows, n_nodes))
+    x = load(md, n, alpha)
+    u = _utility_raw(md, n, alpha)
+    lo, hi, ok = optimize._sample_intervals(md, alpha)
+    n_block = optimize._solve_n_block(md, alpha, np.ones_like(alpha))
+    feasible = 0
+    for g in range(rows):
+        assert same_bits(x[g], oracle.load(md, n[g], alpha[g]))
+        assert same_bits(u[g], oracle.utility(md, n[g], alpha[g]))
+        assert isinstance(load(md, n[g], alpha[g]), float)
+        try:
+            want_lo, want_hi = oracle.sample_intervals(md, alpha[g])
+        except InfeasibleError:
+            assert not ok[g] and np.all(np.isnan(n_block[g]))
+            with pytest.raises(InfeasibleError):
+                optimize._solve_n_block(md, alpha[g], np.ones(n_nodes))
+            continue
+        feasible += 1
+        assert ok[g] and same_bits(lo[g], want_lo) and same_bits(hi[g], want_hi)
+        want_n = oracle.solve_n_block(md, alpha[g], np.ones(n_nodes))
+        assert same_bits(n_block[g], want_n)
+        assert same_bits(optimize._solve_n_block(md, alpha[g], np.ones(n_nodes)), want_n)
+    assert 0 < feasible < rows
+
+
+def test_round_decision_equals_the_scalar_greedy():
+    # C4-sized instances at interior points: n halved at the start point's
+    # feasible alpha, from where the greedy takes several steps
+    rng = np.random.default_rng(12)
+    checked = 0
+    for _ in range(400):
+        scn = random_scenario(rng)
+        md = build(scn)
+        try:
+            n, alpha = optimize._start(md)
+        except InfeasibleError:
+            continue
+        dv = DecisionVector(n=np.maximum(0.5 * n, 1.0), alpha=alpha)
+        *want, steps = oracle.round_decision(md, dv)
+        if steps < 2:
+            continue
+        got = round_decision(scn, dv)
+        assert same_bits(got[0], want[0]) and same_bits(got[1], want[1])
+        assert got[2] == want[2]
+        checked += 1
+        if checked == 50:
+            break
+    assert checked == 50
+
+
+def test_round_decision_tie_goes_to_the_lowest_index(monkeypatch):
+    twin = make_node(phi=80e-3, n_max=20)
+    scn = make_scenario([twin, twin])
+    md = build(scn)
+    dv = DecisionVector(n=[3.0, 3.0], alpha=[0.3, 0.3])
+    candidates = []
+    real = optimize._utility_raw
+
+    def spy(md, n, alpha):
+        if np.ndim(n) == 2:
+            candidates.append(np.array(n))
+        return real(md, n, alpha)
+
+    monkeypatch.setattr(optimize, "_utility_raw", spy)
+    got = round_decision(scn, dv)
+    gains = real(md, candidates[0], dv.alpha)
+    assert gains[0] == gains[1]          # the first step is an exact tie
+    assert np.array_equal(candidates[1], [[5.0, 3.0], [4.0, 4.0]])  # node 0 took it
+    want = oracle.round_decision(md, dv)
+    assert same_bits(got[0], want[0]) and same_bits(got[1], want[1])
