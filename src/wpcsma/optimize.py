@@ -142,31 +142,26 @@ def solve_n_block(scenario: Scenario, alpha, n0):
 
 
 def _solve_n_block(md, alpha, n0):
-    """Each (..., N) row of alpha solved with the iterates and the stop it
+    """Each row of a (rows, N) alpha solved with the iterates and the stop it
     has alone; NaN rows where some interval is empty (a 1-D alpha raises)."""
-    alpha = np.asarray(alpha, dtype=float)
     lo, hi, ok = _sample_intervals(md, alpha)
-    shape = alpha.shape
-    alpha, lo, hi = (v.reshape(-1, md.n) for v in (alpha, lo, hi))
-    n = np.clip(np.asarray(n0, dtype=float), 1.0, md.duty.n_max).reshape(-1, md.n)
-    n[~ok.reshape(-1)] = np.nan
+    alpha, lo, hi, n = np.atleast_2d(alpha, lo, hi, np.clip(n0, 1.0, md.duty.n_max))
+    n[~ok] = np.nan
     live = np.flatnonzero(ok)
     slope = md.per_ratio * alpha  # dX/dn_i, constant
     f_prev = np.zeros(len(n))
     for it in range(MAX_INNER_ITERS):
         if not len(live):
             break
-        n_new = argmax_log_minus_linear(
+        n[live] = argmax_log_minus_linear(
             md.n * slope[live] / model.load(md, n[live], alpha[live])[:, None],
             lo[live], hi[live])
-        n[live] = n_new
-        f_cur = np.sum(np.log(n_new), axis=-1) - md.n * np.log(
-            model.load(md, n_new, alpha[live]))
+        f_cur = np.log(n[live]).sum(-1) - md.n * np.log(model.load(md, n[live], alpha[live]))
         done = np.abs(f_cur - f_prev[live]) <= INNER_TOL * np.maximum(1.0, np.abs(f_cur))
         f_prev[live] = f_cur
         if it > 0:
             live = live[~done]
-    return n.reshape(shape)
+    return n if np.ndim(ok) else n[0]
 
 
 def attempt_interval(scenario: Scenario, n, alpha, i: int):
