@@ -2,7 +2,7 @@
 
 from .energy import (EnergyBreakdown, EnergyCoefficients, backoff_energy,
                      collision_transmit_energy, constraint_slack, cycle_energy,
-                     data_energy, energy_coefficients, success_transmit_energy)
+                     energy_coefficients, success_transmit_energy)
 from .mac import (PerfReport, SlotProbabilities, alpha_from_tau,
                   attempt_probability, channel_load, evaluate,
                   slot_probabilities, stationary_distribution, tau_from_alpha,

@@ -19,7 +19,7 @@ import numpy as np
 from . import model
 from .mac import tau_from_alpha, window_from_alpha
 from .params import DutyCycle, PowerProfile, ProtocolParams, Scenario, require
-from .timing import FrameTimes, frame_times
+from .timing import FrameTimes
 
 
 def backoff_energy(p: ProtocolParams, power: PowerProfile, w: float) -> float:
@@ -59,21 +59,10 @@ def collision_transmit_energy(p: ProtocolParams, power: PowerProfile,
     return p.t_rts * power.p_tx + times.timeout * power.p_listen
 
 
-def data_energy(p: ProtocolParams, power: PowerProfile, times: FrameTimes,
-                n: float, taus_others) -> float:
-    """Expected exchange energy: success if every other node stays quiet."""
-    taus_others = np.asarray(taus_others, dtype=float)
-    require(np.all((taus_others > 0.0) & (taus_others < 1.0)) or taus_others.size == 0,
-            "each tau must be in (0, 1)")
-    p_quiet = float(np.prod(1.0 - taus_others)) if taus_others.size else 1.0
-    eps_succ = success_transmit_energy(p, power, times, n)
-    eps_col = collision_transmit_energy(p, power, times)
-    return p_quiet * eps_succ + (1.0 - p_quiet) * eps_col
-
-
 @dataclass(frozen=True)
 class EnergyBreakdown:
-    """Per-cycle energy components of one node, plus its harvest budget.
+    """Per-cycle energy components of one node (of all, as arrays, from
+    `_breakdown`), plus its harvest budget.
 
     e_backoff (and with it e_tx_total / e_total) extrapolates below zero when
     the recovered window is far under one slot; see `backoff_energy`.
@@ -93,30 +82,35 @@ class EnergyBreakdown:
         return self.budget - self.e_total
 
 
-def cycle_energy(scenario: Scenario, i: int, n, alpha) -> EnergyBreakdown:
-    """Full per-cycle energy breakdown for node i at a decision point."""
-    n = np.asarray(n, dtype=float)
-    alpha = np.asarray(alpha, dtype=float)
-    require(np.all(n >= 1.0), "each n must be >= 1")
-    require(np.all(alpha > 0.0), "each alpha must be > 0")
-    p = scenario.protocol
-    node = scenario.nodes[i]
-    times = frame_times(p, node.link)
-
-    m = node.duty.sleep_slots(float(n[i]))
-    w = window_from_alpha(float(alpha[i]), m)
-    taus_others = tau_from_alpha(np.delete(alpha, i))
-
-    e_acq, e_proc, e_fixed = fixed_energy(p, node.power, node.duty, float(n[i]))
-    e_bo = _backoff(p, node.power, w)
-    e_data = data_energy(p, node.power, times, float(n[i]), taus_others)
+def _breakdown(md, n, w, tau) -> EnergyBreakdown:
+    """Every node's breakdown at samples n, windows w and attempt probabilities
+    tau; node i's exchange succeeds if every other node stays quiet."""
+    p, k = md.protocol, md.n
+    # the others' 1 - tau_j of each node, gathered into contiguous rows
+    others = np.broadcast_to(1.0 - tau, (k, k))[~np.eye(k, dtype=bool)]
+    p_quiet = others.reshape(k, k - 1).prod(-1)
+    e_acq, e_proc, e_fixed = fixed_energy(p, md.power, md.duty, n)
+    e_bo = _backoff(p, md.power, w)
+    e_data = (p_quiet * success_transmit_energy(p, md.power, md.times, n)
+              + (1.0 - p_quiet) * collision_transmit_energy(p, md.power, md.times))
     e_tx = e_bo + e_data
-    e_total = e_fixed + e_tx
-    budget = node.power.phi * m * p.sigma
     return EnergyBreakdown(e_acq=e_acq, e_proc=e_proc, e_backoff=e_bo,
                            e_data=e_data, e_tx_total=e_tx,
-                           e_bg=node.power.e_bg, e_total=e_total,
-                           budget=budget)
+                           e_bg=md.power.e_bg, e_total=e_fixed + e_tx,
+                           budget=md.power.phi * (n * md.duty.h + md.duty.g) * p.sigma)
+
+
+def _row(cls, arrays, i: int):
+    """Node i's `cls` record, as floats, from arrays over every node."""
+    return cls(**{f.name: float(getattr(arrays, f.name)[i]) for f in fields(cls)})
+
+
+def cycle_energy(scenario: Scenario, i: int, n, alpha) -> EnergyBreakdown:
+    """Full per-cycle energy breakdown for node i at a decision point: row i
+    of `_breakdown` at the windows and attempt probabilities alpha recovers."""
+    md, n, alpha = model.at_point(scenario, n, alpha, i)
+    w = window_from_alpha(alpha, n * md.duty.h + md.duty.g)
+    return _row(EnergyBreakdown, _breakdown(md, n, w, tau_from_alpha(alpha)), i)
 
 
 @dataclass(frozen=True)
@@ -141,9 +135,7 @@ class EnergyCoefficients:
 
 def energy_coefficients(scenario: Scenario, i: int) -> EnergyCoefficients:
     """Constraint coefficients of node i (decision-independent)."""
-    md = model.build(scenario)
-    return EnergyCoefficients(**{f.name: float(getattr(md, f.name)[i])
-                                 for f in fields(EnergyCoefficients)})
+    return _row(EnergyCoefficients, model.build(scenario), i)
 
 
 def constraint_slack(scenario: Scenario, i: int, n, alpha) -> float:
@@ -152,8 +144,4 @@ def constraint_slack(scenario: Scenario, i: int, n, alpha) -> float:
     Equals budget minus total cycle energy, computed through the coefficient
     form.
     """
-    n = np.asarray(n, dtype=float)
-    alpha = np.asarray(alpha, dtype=float)
-    require(np.all(n >= 1.0), "each n must be >= 1")
-    require(np.all(alpha > 0.0), "each alpha must be > 0")
-    return float(model.slacks(model.build(scenario), n, alpha)[i])
+    return float(model.slacks(*model.at_point(scenario, n, alpha, i))[i])

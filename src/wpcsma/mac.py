@@ -118,11 +118,7 @@ def channel_load(scenario: Scenario, n, alpha) -> float:
     duration times the all-idle probability; per-node throughput is
     attempts * payload / (factor * collision duration).
     """
-    n = np.asarray(n, dtype=float)
-    alpha = np.asarray(alpha, dtype=float)
-    require(np.all(alpha > 0.0), "each alpha must be > 0")
-    require(np.all(n >= 1.0), "each n must be >= 1")
-    return model.load(model.build(scenario), n, alpha)
+    return model.load(*model.at_point(scenario, n, alpha))
 
 
 @dataclass(frozen=True)
@@ -146,15 +142,14 @@ def evaluate(scenario: Scenario, n, alpha) -> PerfReport:
     Both throughput forms are returned; they agree to rounding error and the
     pair is the standing cross-check of the reformulation.
     """
-    n = np.asarray(n, dtype=float)
-    alpha = np.asarray(alpha, dtype=float)
-    md = model.build(scenario)
+    return _evaluate(*model.at_point(scenario, n, alpha))
 
+
+def _evaluate(md, n, alpha) -> PerfReport:
     tau = tau_from_alpha(alpha)
     probs = slot_probabilities(tau)
-    require(np.all(n >= 1.0), "each n must be >= 1")
     t_succ = md.times.success(n)
-    mean_slot = (probs.p_idle * scenario.protocol.sigma
+    mean_slot = (probs.p_idle * md.protocol.sigma
                  + float(np.sum(probs.p_succ * t_succ)) + probs.p_col * md.t_col)
     s_renewal = n * md.payload * probs.p_succ / mean_slot
 

@@ -9,11 +9,12 @@ parameters evaluates every node at once when given the model's.
 
 from __future__ import annotations
 
+import numbers
 from types import SimpleNamespace
 
 import numpy as np
 
-from .params import Scenario
+from .params import Scenario, require
 from .timing import FrameTimes, frame_times
 
 
@@ -26,8 +27,9 @@ def _columns(records) -> dict:
 def build(scenario: Scenario) -> SimpleNamespace:
     """Flatten a scenario; each public function builds it once per call.
 
-    Fields: `n` nodes; `times`, `power`, `duty` the FrameTimes, PowerProfile
-    and DutyCycle fields as arrays over the nodes; `payload` bits per sample;
+    Fields: `n` nodes; `protocol` the scenario's ProtocolParams; `times`,
+    `power`, `duty` the FrameTimes, PowerProfile and DutyCycle fields as
+    arrays over the nodes; `payload` bits per sample;
     `t_col` the collision duration, the same for every node; `sigma_ratio`,
     `per_ratio`, `ovh_ratio` sigma, the per-sample duration and the success
     overhead over t_col (the last minus 1); `a`..`f`, `per_sample_acq`,
@@ -42,7 +44,7 @@ def build(scenario: Scenario) -> SimpleNamespace:
     eps_acq = pw.p_acq * p.sigma
     eps_proc = pw.p_proc * duty.g * p.sigma
     return SimpleNamespace(
-        n=scenario.n_nodes, times=times, power=pw, duty=duty,
+        n=scenario.n_nodes, protocol=p, times=times, power=pw, duty=duty,
         payload=np.array([nd.link.l for nd in scenario.nodes]),
         t_col=t_col, sigma_ratio=p.sigma / t_col,
         per_ratio=times.per_sample / t_col,
@@ -58,6 +60,22 @@ def build(scenario: Scenario) -> SimpleNamespace:
            - (p.t_difs + times.timeout - duty.g * p.sigma) * pw.p_listen
            - p.t_rts * pw.p_tx),
     )
+
+
+def at_point(scenario: Scenario, n, alpha, i=None):
+    """(build(scenario), n, alpha), n and alpha as float arrays; raises
+    InvalidParameterError unless each holds one value per node, every n >= 1,
+    every alpha > 0, and i, when given, is a node index."""
+    md = build(scenario)
+    n = np.asarray(n, dtype=float)
+    alpha = np.asarray(alpha, dtype=float)
+    require(n.shape == alpha.shape == (md.n,),
+            f"n and alpha must hold one value per node, {md.n} each")
+    require(np.all(n >= 1.0), "each n must be >= 1")
+    require(np.all(alpha > 0.0), "each alpha must be > 0")
+    require(i is None or (isinstance(i, numbers.Integral) and 0 <= i < md.n),
+            f"node index must be in 0..{md.n - 1}, got {i!r}")
+    return md, n, alpha
 
 
 def load(md, n, alpha):

@@ -384,12 +384,13 @@ def _start(md):
 
 def decision_reports(scenario: Scenario, n, alpha):
     """The model at a decision: PerfReport, EnergyBreakdown per node, slacks."""
-    return _decision_reports(scenario, model.build(scenario), n, alpha)
+    return _decision_reports(*model.at_point(scenario, n, alpha))
 
 
-def _decision_reports(scenario, md, n, alpha):
-    return (mac.evaluate(scenario, n, alpha),
-            tuple(energy.cycle_energy(scenario, i, n, alpha) for i in range(scenario.n_nodes)),
+def _decision_reports(md, n, alpha):
+    perf = mac._evaluate(md, n, alpha)
+    breakdown = energy._breakdown(md, n, perf.window, perf.tau)
+    return (perf, tuple(energy._row(energy.EnergyBreakdown, breakdown, i) for i in range(md.n)),
             model.slacks(md, n, alpha))
 
 
@@ -457,7 +458,7 @@ def solve_bcd(scenario: Scenario, cfg: OptimizerConfig | None = None) -> OptResu
                 break
 
     dv = DecisionVector(n=n, alpha=alpha)
-    perf, breakdowns, slacks = _decision_reports(scenario, md, n, alpha)
+    perf, breakdowns, slacks = _decision_reports(md, n, alpha)
     if np.any(perf.window < 1.0):
         bad = np.nonzero(perf.window < 1.0)[0]
         warnings.warn(

@@ -32,7 +32,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .params import InvalidParameterError, Scenario, require
-from .timing import frame_times
 from . import energy as energy_model
 from . import mac, model
 
@@ -417,28 +416,19 @@ def empirical_energy_check(scenario: Scenario, n, w, cfg: SimConfig,
     """
     if stats is None:
         stats = simulate(scenario, n, w, cfg)
-    p = scenario.protocol
-    rows = []
-    n = _node_integers("samples", n, scenario.n_nodes)
-    w = _node_integers("window", w, scenario.n_nodes)
-    m = [int(node.duty.sleep_slots(ni)) for node, ni in zip(scenario.nodes, n)]
-    taus = np.array([mac.tau_from_window(w[i], m[i]) for i in range(scenario.n_nodes)])
-    for i, node in enumerate(scenario.nodes):
-        times = frame_times(p, node.link)
-        const = energy_model.fixed_energy(p, node.power, node.duty, n[i])[2]
-        e_bo = energy_model.backoff_energy(p, node.power, w[i])
-        e_dat = energy_model.data_energy(p, node.power, times, n[i],
-                                         np.delete(taus, i))
-        sim_const = float(stats.energy_per_cycle[i] - stats.energy_backoff[i]
-                          - stats.energy_data[i])
-        for name, ana, simv, hard in (
-                ("acq+proc+bg", const, sim_const, True),
-                ("backoff", e_bo, float(stats.energy_backoff[i]), False),
-                ("data", e_dat, float(stats.energy_data[i]), False),
-                ("total", const + e_bo + e_dat,
-                 float(stats.energy_per_cycle[i]), False)):
-            rel = abs(simv - ana) / max(abs(ana), 1e-300)
-            rows.append(EnergyCheckRow(node=i, component=name, analytical=ana,
-                                       simulated=simv, rel_error=rel,
-                                       asserted=hard))
-    return rows
+    md = model.build(scenario)
+    n = np.array(_node_integers("samples", n, md.n), dtype=float)
+    w = np.array(_node_integers("window", w, md.n), dtype=float)
+    m = np.floor(n * md.duty.h + md.duty.g)  # the simulator's integer sleep
+    ana = energy_model._breakdown(md, n, w, mac.tau_from_window(w, m))
+    const = ana.e_acq + ana.e_proc + ana.e_bg
+    columns = [("acq+proc+bg", const, stats.energy_per_cycle - stats.energy_backoff
+                - stats.energy_data, True),
+               ("backoff", ana.e_backoff, stats.energy_backoff, False),
+               ("data", ana.e_data, stats.energy_data, False),
+               ("total", const + ana.e_backoff + ana.e_data, stats.energy_per_cycle, False)]
+    return [EnergyCheckRow(node=i, component=name, analytical=float(a[i]),
+                           simulated=float(simv[i]),
+                           rel_error=float(abs(simv[i] - a[i]) / max(abs(a[i]), 1e-300)),
+                           asserted=hard)
+            for i in range(md.n) for name, a, simv, hard in columns]

@@ -1,17 +1,27 @@
 import itertools
+import json
+from dataclasses import astuple
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from wpcsma import (InvalidParameterError, backoff_energy,
-                    collision_transmit_energy, constraint_slack, cycle_energy,
-                    data_energy, energy_coefficients, evaluate,
-                    success_transmit_energy, tau_from_alpha)
+import energy_oracle as oracle
+from wpcsma import (InvalidParameterError, SimConfig, alpha_from_tau,
+                    backoff_energy, channel_load, collision_transmit_energy,
+                    constraint_slack, cycle_energy, empirical_energy_check,
+                    energy_coefficients, evaluate, success_transmit_energy,
+                    tau_from_window)
 from wpcsma import model
 from wpcsma.mac import window_from_alpha
+from wpcsma.optimize import decision_reports
+from wpcsma.scenario_io import scenario_from_dict
 from wpcsma.timing import frame_times
 
-from conftest import PROTO, make_node, make_scenario, random_point, random_scenario
+from conftest import (PROTO, make_node, make_scenario, random_point,
+                      random_scenario, solve_quiet)
+
+DATA = Path(__file__).parent / "data"
 
 
 def test_backoff_energy_minimum_window():
@@ -48,18 +58,23 @@ def test_backoff_energy_rejects_bad_window():
         backoff_energy(PROTO, make_node().power, 0.5)
 
 
+def _e_data(n, alpha):
+    """e_data of node 0 (make_node) with peers at attempt odds alpha[1:]."""
+    scn = make_scenario([make_node()] * len(alpha))
+    return cycle_energy(scn, 0, [n] * len(alpha), alpha).e_data
+
+
 def test_data_energy_no_peers_is_success_energy():
     node = make_node()
     times = frame_times(PROTO, node.link)
     expect = success_transmit_energy(PROTO, node.power, times, 10)
-    assert data_energy(PROTO, node.power, times, 10, []) == pytest.approx(
-        expect, rel=1e-12)
+    assert _e_data(10.0, [0.1]) == pytest.approx(expect, rel=1e-12)
 
 
 def test_data_energy_all_peers_certain_is_collision_energy():
     node = make_node()
     times = frame_times(PROTO, node.link)
-    got = data_energy(PROTO, node.power, times, 10, [1 - 1e-12, 1 - 1e-12])
+    got = _e_data(10.0, [0.1, 1e12, 1e12])
     assert got == pytest.approx(
         collision_transmit_energy(PROTO, node.power, times), rel=1e-9)
 
@@ -76,7 +91,7 @@ def test_data_energy_matches_peer_enumeration():
         pr = np.prod([taus[j] if b else 1 - taus[j]
                       for j, b in enumerate(pattern)])
         expect += pr * (eps_s if sum(pattern) == 0 else eps_c)
-    got = data_energy(PROTO, node.power, times, 10, taus)
+    got = _e_data(10.0, [0.1, *alpha_from_tau(np.array(taus))])
     assert got == pytest.approx(expect, rel=1e-12)
 
 
@@ -87,7 +102,7 @@ def test_data_energy_between_extremes():
     for _ in range(30):
         n = float(rng.uniform(1, 40))
         taus = rng.uniform(0.01, 0.6, int(rng.integers(1, 6)))
-        val = data_energy(PROTO, node.power, times, n, taus)
+        val = _e_data(n, [0.1, *alpha_from_tau(taus)])
         eps_s = success_transmit_energy(PROTO, node.power, times, n)
         eps_c = collision_transmit_energy(PROTO, node.power, times)
         assert min(eps_s, eps_c) - 1e-18 <= val <= max(eps_s, eps_c) + 1e-18
@@ -199,3 +214,90 @@ def test_example1_optimum_slacks(solved_example1):
     rel = solved_example1.slacks / budgets
     assert abs(rel[0]) <= 1e-6
     assert np.all(rel[1:] >= 1e-3)
+
+
+def test_a_point_must_name_one_value_per_node_and_a_node(example1):
+    # each of these once gave a wrong answer or a bare IndexError
+    n = np.array([float(nd.duty.n_max) for nd in example1.nodes])
+    alpha = np.full(6, 0.01)
+    probes = [lambda: cycle_energy(example1, 0, n, alpha[:3]),
+              lambda: cycle_energy(example1, -1, n, alpha),
+              lambda: cycle_energy(example1, 6, n, alpha),
+              lambda: constraint_slack(example1, -1, n, alpha),
+              lambda: constraint_slack(example1, 6, n, alpha),
+              lambda: evaluate(example1, 5.0, alpha),
+              lambda: channel_load(example1, n[:5], alpha[:5]),
+              lambda: decision_reports(example1, n, alpha[:5]),
+              lambda: cycle_energy(example1, 0, n, np.r_[alpha[:5], 0.0]),
+              lambda: evaluate(example1, np.r_[n[:5], 0.5], alpha)]
+    for probe in probes:
+        with pytest.raises(InvalidParameterError):
+            probe()
+
+
+# --- the all-node breakdown against its per-node form (tests/energy_oracle.py) ---
+
+def same_bits(got, want) -> bool:
+    return (np.array(astuple(got)).tobytes() == np.array(astuple(want)).tobytes()
+            and all(type(g) is float for g in astuple(got)))
+
+
+def _stored(name):
+    return scenario_from_dict(json.loads((DATA / f"{name}.json").read_text()))
+
+
+def _integer_alpha(scn, n, w):
+    m = np.array([nd.duty.sleep_slots(v) for nd, v in zip(scn.nodes, n)])
+    return alpha_from_tau(tau_from_window(np.asarray(w, dtype=float), m))
+
+
+def _assert_breakdowns_match(scn, n, alpha):
+    n, alpha = np.asarray(n, dtype=float), np.asarray(alpha, dtype=float)
+    reports = decision_reports(scn, n, alpha)[1]
+    for i in range(scn.n_nodes):
+        want = oracle.cycle_energy(scn, i, n, alpha)
+        assert same_bits(cycle_energy(scn, i, n, alpha), want)
+        assert same_bits(reports[i], want)
+
+
+@pytest.mark.parametrize("name", ["example1", "example2"])
+def test_breakdown_matches_oracle_at_the_bundled_optima(name, request):
+    res = request.getfixturevalue(f"solved_{name}")
+    n, alpha = res.decision.n, res.decision.alpha
+    # the extrapolated regime: every window below one slot, backoff a credit
+    assert np.all(res.perf.window < 1.0)
+    assert all(br.e_backoff < 0.0 for br in res.energy)
+    _assert_breakdowns_match(request.getfixturevalue(name), n, alpha)
+
+
+@pytest.mark.parametrize("name", ["gen24_rng24000", "gen48_rng48000"])
+def test_breakdown_matches_oracle_at_the_stored_optima(name):
+    scn = _stored(name)
+    res = solve_quiet(scn)
+    _assert_breakdowns_match(scn, res.decision.n, res.decision.alpha)
+
+
+def test_breakdown_matches_oracle_on_one_node_and_random_points():
+    _assert_breakdowns_match(make_scenario([make_node()]), [7.0], [0.2])
+    rng = np.random.default_rng(13)
+    for _ in range(100):
+        scn = random_scenario(rng)
+        _assert_breakdowns_match(scn, *random_point(rng, scn))
+
+
+@pytest.mark.parametrize("w_of", [lambda k: np.ones(k, dtype=int),
+                                  lambda k: 2 + np.arange(k) * 7],
+                         ids=["w1", "w2up"])
+def test_breakdown_and_energy_check_match_oracle_at_integer_points(w_of):
+    rng = np.random.default_rng(17)
+    for n_nodes in (1, 2, 5, 9):
+        scn = random_scenario(rng, n_nodes)
+        n = [int(rng.integers(1, nd.duty.n_max + 1)) for nd in scn.nodes]
+        w = [int(v) for v in w_of(n_nodes)]
+        _assert_breakdowns_match(scn, n, _integer_alpha(scn, n, w))
+        rows = empirical_energy_check(scn, n, w, SimConfig(n_slots=3_000, warmup_slots=0))
+        got = [(r.node, r.component, r.analytical) for r in rows]
+        want = oracle.analytical_check(scn, n, w)
+        assert [g[:2] for g in got] == [v[:2] for v in want]
+        assert np.array([g[2] for g in got]).tobytes() == np.array([v[2] for v in want]).tobytes()
+        assert all(type(g[2]) is float for g in got)

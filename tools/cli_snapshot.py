@@ -10,8 +10,9 @@ writes, each into its own subdirectory of OUT:
 - optimize on example1 with `--config` capping the solver at 3 iterations,
   which stops at the cap and exits 4;
 - simulate --trace at each optimum;
-- simulate at an example1 point whose integer windows are all W = 16
-  (n = n_max on every node).
+- analyze and simulate at an example1 point whose integer windows are all
+  W = 16 (n = n_max on every node), where the backoff energy is not
+  extrapolated below zero.
 
 `OUT/commands.txt` lists each command with its exit code. Two checkouts
 produce byte-identical outputs exactly when `diff -r` of their OUT
@@ -87,9 +88,11 @@ def main(argv: list[str]) -> int:
     config.write_text(json.dumps({"max_outer_iters": 3}) + "\n")
     _cli(out, log, "optimize-example1-cap3", "optimize",
          "--scenario", str(DATA / "example1.json"), "--config", str(config))
+    w16 = _w16_point(points / "example1_w16.json")
+    _cli(out, log, "analyze-example1-w16", "analyze",
+         "--scenario", str(DATA / "example1.json"), "--point", w16)
     _cli(out, log, "simulate-example1-w16", "simulate",
-         "--scenario", str(DATA / "example1.json"),
-         "--point", _w16_point(points / "example1_w16.json"), *SLOTS)
+         "--scenario", str(DATA / "example1.json"), "--point", w16, *SLOTS)
     (out / "commands.txt").write_text("\n".join(log) + "\n")
     print("\n".join(log))
     return 0
