@@ -245,11 +245,23 @@ def solve_alpha_block(scenario: Scenario, n, alpha, i: int) -> float:
     return float(alpha[i])
 
 
-def _nnls(a, b) -> np.ndarray:
-    """Lawson-Hanson non-negative least squares: argmin ||a x - b|| over x >= 0."""
+def _nnls(a, b, start=None) -> np.ndarray:
+    """Lawson-Hanson non-negative least squares: argmin ||a x - b|| over x >= 0.
+
+    `start` is an initial passive mask: solved on, its entries <= 0 dropped
+    until the rest are positive, and the loop run on from that feasible x
+    (Bro & De Jong, J. Chemometrics 11, 1997). The result is `lstsq` on the
+    final passive set, so it does not depend on the start when that set
+    does not."""
     k = a.shape[1]
     x = np.zeros(k)
-    passive = np.zeros(k, dtype=bool)
+    passive = np.zeros(k, dtype=bool) if start is None else start.copy()
+    while passive.any():
+        x[passive] = np.linalg.lstsq(a[:, passive], b, rcond=None)[0]
+        if np.all(x[passive] > 0.0):
+            break
+        passive &= x > 0.0
+        x[:] = 0.0
     # rounding error of each gradient entry, which scales with its column
     tol = 10.0 * np.finfo(float).eps * max(a.shape) * np.abs(a).sum(axis=0) \
         * max(float(np.abs(b).max(initial=0.0)), 1.0)
@@ -275,10 +287,11 @@ def _nnls(a, b) -> np.ndarray:
     return x
 
 
-def _ldp(e, f):
+def _ldp(e, f, start=None):
     """Least-distance point argmin ||w|| subject to e w >= f, and its
-    multipliers, through NNLS on the dual (Lawson & Hanson, ch. 23).
-    None when the constraints admit no point."""
+    multipliers, through NNLS on the dual (Lawson & Hanson, ch. 23), that
+    NNLS started from the rows in `start`. None when the constraints admit
+    no point."""
     # the problem is homogeneous in f: scale its largest entry to 1, so
     # that NNLS's tolerance does not swallow a tiny violation
     top = float(f.max(initial=0.0))
@@ -287,7 +300,7 @@ def _ldp(e, f):
     rows = np.vstack([e.T, f / top])
     target = np.zeros(rows.shape[0])
     target[-1] = 1.0
-    u = _nnls(rows, target)
+    u = _nnls(rows, target, start)
     r = rows @ u - target
     if -r[-1] <= 1e-12:
         return None
@@ -323,12 +336,13 @@ def _energy_scale(md) -> np.ndarray:
     return np.maximum(np.abs(md.f), 1e-30)
 
 
-def _qp_step(hess, grad, rows, h):
+def _qp_step(hess, grad, rows, h, start=None):
     """argmax grad.d - d'Bd/2 subject to rows d >= h, and the multipliers of
-    the rows; with B = LL', a least-distance problem in w = L'd - L^-1 grad."""
+    the rows; with B = LL', a least-distance problem in w = L'd - L^-1 grad,
+    its NNLS started from the rows in `start`."""
     low = np.linalg.cholesky(hess)
     d0 = np.linalg.solve(hess, grad)
-    sol = _ldp(np.linalg.solve(low, rows.T).T, h - rows @ d0)
+    sol = _ldp(np.linalg.solve(low, rows.T).T, h - rows @ d0, start)
     if sol is None:
         return None
     return d0 + np.linalg.solve(low.T, sol[0]), sol[1]
@@ -432,6 +446,7 @@ def solve_bcd(scenario: Scenario, cfg: OptimizerConfig | None = None) -> OptResu
     u = _utility_raw(md, n, alpha)
     grad, rows = _derivatives(md, n, alpha, scale)
     hess = np.eye(2 * md.n)
+    active = None   # the last QP's active rows, where the next NNLS starts
 
     trace: list[float] = []
     status = "iteration-cap"
@@ -440,7 +455,9 @@ def solve_bcd(scenario: Scenario, cfg: OptimizerConfig | None = None) -> OptResu
         n_before, alpha_before = n, alpha
         slack = model.slacks(md, n, alpha) / scale
         qp = _qp_step(hess, grad, rows,
-                      np.concatenate([-np.maximum(slack, 0.0), lo - z, z - hi]))
+                      np.concatenate([-np.maximum(slack, 0.0), lo - z, z - hi]), active)
+        if qp:
+            active = qp[1] > 0.0
         found = qp and _line_search(md, z, qp[0], u, lo, hi, scale)
         if found:
             z_new, n, alpha, u = found
@@ -571,7 +588,8 @@ def check_kkt(scenario: Scenario, dv: DecisionVector) -> KktReport:
     coords = [f"{v}[{i}]" for v in ("n", "alpha") for i in range(md.n)]
     names = ([f"energy[{i}]" for i in range(md.n)]
              + [f"{c} {end}" for end in ("lower", "upper") for c in coords])
-    lam = _nnls(rows[on].T, -grad)
+    # started from every active row: at an optimum each one usually binds
+    lam = _nnls(rows[on].T, -grad, np.ones(int(on.sum()), dtype=bool))
     res = (grad + rows[on].T @ lam) / max(1.0, float(np.linalg.norm(grad)))
     values = np.concatenate([dv.n, dv.alpha])
     return KktReport(
