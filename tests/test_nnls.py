@@ -6,7 +6,6 @@ cold-start form. Started anywhere, `_nnls` must solve the same problem,
 and on the solver's own calls it must give the oracle's bits.
 """
 
-import functools
 import json
 from pathlib import Path
 
@@ -63,8 +62,8 @@ def test_warm_starts_give_the_cold_start_bits():
         assert got.tobytes() == want.tobytes()
 
 
-@functools.cache
-def _problems():
+@pytest.fixture(scope="module")
+def problems():
     """Tall random problems, whose NNLS solution is unique, a zero matrix,
     and the certificate's problems at the bundled optima."""
     rng = np.random.default_rng(14)
@@ -87,8 +86,8 @@ def _starts(a, b):
 
 
 @pytest.mark.parametrize("idx", range(8))
-def test_any_start_ends_at_an_nnls_optimum(idx):
-    a, b = _problems()[idx]
+def test_any_start_ends_at_an_nnls_optimum(problems, idx):
+    a, b = problems[idx]
     for start in _starts(a, b):
         x = optimize._nnls(a, b, start)
         dual = a.T @ (b - a @ x)
@@ -104,9 +103,9 @@ def test_no_columns():
 
 
 @pytest.mark.parametrize("idx", range(8))
-def test_any_start_agrees_with_scipy(idx):
+def test_any_start_agrees_with_scipy(problems, idx):
     scipy_optimize = pytest.importorskip("scipy.optimize")
-    a, b = _problems()[idx]
+    a, b = problems[idx]
     want = scipy_optimize.nnls(a, b)[0]
     for start in _starts(a, b):
         got = optimize._nnls(a, b, start)
