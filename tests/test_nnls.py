@@ -85,16 +85,15 @@ def _starts(a, b):
             + [rng.random(k) < p for p in (0.2, 0.5, 0.8)])
 
 
-@pytest.mark.parametrize("idx", range(8))
-def test_any_start_ends_at_an_nnls_optimum(problems, idx):
-    a, b = problems[idx]
-    for start in _starts(a, b):
-        x = optimize._nnls(a, b, start)
-        dual = a.T @ (b - a @ x)
+def test_any_start_ends_at_an_nnls_optimum(problems):
+    for a, b in problems:
         tol = 1e-9 * max(1.0, float(np.abs(a).sum(axis=0).max()) * float(np.abs(b).max()))
-        assert np.all(x >= 0.0)
-        assert np.all(dual <= tol)
-        assert np.all(np.abs(dual[x > 0.0]) <= tol)
+        for start in _starts(a, b):
+            x = optimize._nnls(a, b, start)
+            dual = a.T @ (b - a @ x)
+            assert np.all(x >= 0.0)
+            assert np.all(dual <= tol)
+            assert np.all(np.abs(dual[x > 0.0]) <= tol)
 
 
 def test_no_columns():
@@ -102,14 +101,13 @@ def test_no_columns():
         assert optimize._nnls(np.zeros((3, 0)), np.ones(3), start).shape == (0,)
 
 
-@pytest.mark.parametrize("idx", range(8))
-def test_any_start_agrees_with_scipy(problems, idx):
+def test_any_start_agrees_with_scipy(problems):
     scipy_optimize = pytest.importorskip("scipy.optimize")
-    a, b = problems[idx]
-    want = scipy_optimize.nnls(a, b)[0]
-    for start in _starts(a, b):
-        got = optimize._nnls(a, b, start)
-        assert np.allclose(got, want, rtol=1e-10, atol=1e-10 * max(1.0, np.abs(want).max()))
+    for a, b in problems:
+        want = scipy_optimize.nnls(a, b)[0]
+        for start in _starts(a, b):
+            got = optimize._nnls(a, b, start)
+            assert np.allclose(got, want, rtol=1e-10, atol=1e-10 * max(1.0, np.abs(want).max()))
 
 
 def test_warm_starts_halve_the_lstsq_calls(monkeypatch):
