@@ -9,6 +9,7 @@ content. Exit codes: 0 success, 2 infeasible scenario, 3 invalid input,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -299,8 +300,15 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # built once per process: a caller may run `main` many times, and
+    # parsing leaves the parser as it was
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except InfeasibleError as err:

@@ -134,8 +134,11 @@ class EnergyCoefficients:
 
 
 def energy_coefficients(scenario: Scenario, i: int) -> EnergyCoefficients:
-    """Constraint coefficients of node i (decision-independent)."""
-    return _row(EnergyCoefficients, model.build(scenario), i)
+    """Constraint coefficients of node i (decision-independent); raises
+    InvalidParameterError unless i is a node index."""
+    md = model.build(scenario)
+    model.check_node(md, i)
+    return _row(EnergyCoefficients, md, i)
 
 
 def constraint_slack(scenario: Scenario, i: int, n, alpha) -> float:

@@ -65,7 +65,7 @@ def build(scenario: Scenario) -> SimpleNamespace:
 def at_point(scenario: Scenario, n, alpha, i=None):
     """(build(scenario), n, alpha), n and alpha as float arrays; raises
     InvalidParameterError unless each holds one value per node, every n >= 1,
-    every alpha > 0, and i, when given, is a node index."""
+    every alpha > 0, and i, when given, is a node index (`check_node`)."""
     md = build(scenario)
     n = np.asarray(n, dtype=float)
     alpha = np.asarray(alpha, dtype=float)
@@ -73,9 +73,15 @@ def at_point(scenario: Scenario, n, alpha, i=None):
             f"n and alpha must hold one value per node, {md.n} each")
     require(np.all(n >= 1.0), "each n must be >= 1")
     require(np.all(alpha > 0.0), "each alpha must be > 0")
-    require(i is None or (isinstance(i, numbers.Integral) and 0 <= i < md.n),
-            f"node index must be in 0..{md.n - 1}, got {i!r}")
+    if i is not None:
+        check_node(md, i)
     return md, n, alpha
+
+
+def check_node(md, i) -> None:
+    """Raise InvalidParameterError unless i is a node index of the model."""
+    require(isinstance(i, numbers.Integral) and 0 <= i < md.n,
+            f"node index must be in 0..{md.n - 1}, got {i!r}")
 
 
 def load(md, n, alpha):

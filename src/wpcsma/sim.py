@@ -15,10 +15,15 @@ on the other nodes: it wakes where its sleep counter reads 0, draws a backoff
 d, transmits d + 1 slots later and wakes again m slots after that. Each node
 draws from a random stream of its own, so nothing couples the nodes, and the
 core runs in two passes over each piece of slots, sized to hold about
-`_PIECE_WAKE_UPS` expected wake-ups: numpy lays out each node's wake slots
-from blocks of its backoff draws, then numpy arrays over the piece's slots
-give the slot kinds, the counters and the float sums, each sum added in the
-order of the original slot loop.
+`_PIECE_WAKE_UPS` expected wake-ups. Pass 1 lays out each node's wake slots
+with numpy from blocks of its backoff draws. Pass 2 gives the slot kinds,
+the counters and the float sums, each sum added in the order of the
+original slot loop, in one of two forms picked once per run from the
+expected wake-ups per slot, the sum of the nodes' tau. On a busy channel
+the dense form builds arrays over every slot of the piece; below
+`_SPARSE_BELOW` the sparse form merges the wake-ups' awake intervals into
+busy runs and builds arrays over those slots only, each all-asleep run
+between them adding one k * sigma term.
 """
 
 from __future__ import annotations
@@ -39,6 +44,14 @@ _N_BATCHES = 20
 _T_CRIT_19 = 2.093024054408263  # two-sided 95% Student t, 19 dof
 _BACKOFF_BLOCK = 1024           # backoffs a node draws at a time
 _PIECE_WAKE_UPS = 4096          # expected wake-ups accounted per numpy pass
+_SPARSE_PIECE_CAP = 2**16       # slots per piece of the sparse form: offsets fit uint16
+# Runs with fewer expected wake-ups per slot (the sum of the nodes' tau) take
+# the sparse form of pass 2, which accounts only the busy slots. Sweep on
+# the bundled scenarios at W = 1, 4 and 16, interleaved runs on a 2-core x86
+# host (CHANGES.md): the sparse form took 0.55-0.75 of the dense form's time
+# at sum tau 0.068-0.168, the two traded places between 0.17 and 0.25, and
+# the sparse form took 1.15-1.3 of it from 0.27 up.
+_SPARSE_BELOW = 0.15
 
 
 @dataclass(frozen=True)
@@ -140,11 +153,49 @@ def _trace_text(p0: int, p1: int, x, ti) -> str:
     return "".join(lines)
 
 
+def _sparse(wake_rate: float) -> bool:
+    """Whether a run at `wake_rate` expected wake-ups per slot accounts only
+    its busy slots (the sparse form) rather than every slot (the dense one)."""
+    return wake_rate < _SPARSE_BELOW
+
+
 def _piece_slots(wake_rate: float) -> int:
     """Slots per piece at `wake_rate` expected wake-ups per slot: room for
-    `_PIECE_WAKE_UPS` of them, but at most twice that many slots, which
-    bounds the size of a piece's per-slot arrays."""
-    return min(math.ceil(_PIECE_WAKE_UPS / wake_rate), 2 * _PIECE_WAKE_UPS)
+    `_PIECE_WAKE_UPS` of them. The dense form takes at most twice that many
+    slots, which bounds the size of its per-slot arrays; the sparse form's
+    arrays scale with the wake-ups, so it takes up to `_SPARSE_PIECE_CAP`."""
+    cap = _SPARSE_PIECE_CAP if _sparse(wake_rate) else 2 * _PIECE_WAKE_UPS
+    return min(math.ceil(_PIECE_WAKE_UPS / wake_rate), cap)
+
+
+def _busy_runs(lo, hi, size: int):
+    """Lay out a row's time terms over a piece's busy slots.
+
+    Slot j of a piece of `size` slots is busy when it lies in one of the
+    intervals [lo[k], hi[k]] (piece offsets, below 2**16), and the others
+    form all-asleep runs. The terms are laid out as [row time, per busy run:
+    one gap term for the all-asleep slots before it, then its slots, the
+    tail's gap term]. Returns the shift that puts offset j of interval k at
+    index j + shift[k] of the terms, the index of each gap term (the tail's
+    is the last one) and each gap's length in slots.
+    """
+    order = np.argsort(lo.astype(np.uint16), kind="stable")   # radix sort
+    lo, hi = lo[order], hi[order]
+    reach = np.maximum.accumulate(hi)
+    head = np.empty(lo.size, dtype=bool)   # where a run starts: past reach + 1
+    head[:1] = True
+    np.greater(lo[1:], reach[:-1] + 1, out=head[1:])
+    heads = head.nonzero()[0]
+    starts = lo[heads]
+    ends = np.maximum.reduceat(hi, heads) if heads.size else starts
+    gap_at = np.arange(1, heads.size + 2)
+    gap_at[1:] += np.cumsum(ends - starts + 1)
+    gaps = np.append(starts, size)
+    gaps[1:] -= ends
+    gaps[1:] -= 1
+    shift = np.empty_like(lo)
+    shift[order] = (gap_at[:-1] + 1 - starts)[np.cumsum(head) - 1]
+    return shift, gap_at, gaps
 
 
 def _next_wakes(gen: np.random.Generator, wake: int, w: int, m: int, d_max: int):
@@ -225,8 +276,10 @@ def simulate(scenario: Scenario, n, w, cfg: SimConfig) -> SimStats:
     # length; with occupancy a backoff open at the end needs its exact
     # length, and the histograms above already bound w
     d_max = max(w) if occupancy else total
-    span = _piece_slots(float(np.sum(mac.tau_from_window(np.array(w, dtype=float), m_arr))))
-    n_backoff = 0   # nodes in backoff as the piece starts
+    wake_rate = float(np.sum(mac.tau_from_window(np.array(w, dtype=float), m_arr)))
+    sparse = _sparse(wake_rate)
+    span = _piece_slots(wake_rate)
+    n_backoff = 0   # nodes in backoff as the piece starts (dense form)
     run = 0         # an all-asleep run up to the piece's start, not yet summed
     event_slots = 0
 
@@ -276,15 +329,28 @@ def simulate(scenario: Scenario, n, w, cfg: SimConfig) -> SimStats:
         ti, tt = node[due], t[due]
         td = tt - s[due] - 1
         x = tt - p0
-        n_tx = np.bincount(x, minlength=size)
-        event = n_tx > 0
-        event[woke - p0] = True
+        # `pos` places each transmission among the slots counted by n_tx
+        if sparse:
+            # a wake-up keeps its node awake from its wake slot to its
+            # transmission; the slots outside those intervals are all asleep
+            shift, gap_at, gaps = _busy_runs(np.maximum(s, p0) - p0,
+                                             np.minimum(t, p1 - 1) - p0, size)
+            pos = x + shift[due]
+            n_tx = np.bincount(pos, minlength=gap_at[-1] + 1)
+            event = n_tx > 0
+            event[woke - p0 + shift[fresh]] = True
+            del shift
+        else:
+            pos = x
+            n_tx = np.bincount(x, minlength=size)
+            event = n_tx > 0
+            event[woke - p0] = True
+            # a node is in backoff from the slot after its wake-up up to
+            # the slot before its transmission
+            in_backoff = n_backoff + np.cumsum(
+                np.bincount(woke + 1 - p0, minlength=size + 1)[:size] - n_tx)
+            n_backoff += len(woke) - len(tt)
         event_slots += int(np.count_nonzero(event))
-        # a node is in backoff from the slot after its wake-up up to
-        # the slot before its transmission
-        in_backoff = n_backoff + np.cumsum(
-            np.bincount(woke + 1 - p0, minlength=size + 1)[:size] - n_tx)
-        n_backoff += len(woke) - len(tt)
         del s, node, t, fresh, due, woke   # freed before the sums' arrays
 
         if trace:
@@ -295,18 +361,31 @@ def simulate(scenario: Scenario, n, w, cfg: SimConfig) -> SimStats:
         # the row's time, in the sums of the original slot loop
         # (tests/slot_loop_oracle.py), so that a seed's results keep
         # their bits, traced or not
-        succ = n_tx[x] == 1
+        succ = n_tx[pos] == 1
         air = np.where(succ, t_succ[ti], t_col)
-        terms = np.full(size + 1, sigma)
-        terms[0] = r_time[r]
-        terms[x + 1] = air
-        busy = np.ones(size + 2, dtype=bool)
-        np.logical_or(in_backoff, event, out=busy[1:-1])
-        r_time[r], run = _add_time(terms, busy, run, sigma, p1 < edges[r + 1])
+        row_goes_on = p1 < edges[r + 1]
+        if sparse:
+            terms = np.full(gap_at[-1] + 1, sigma)
+            terms[0] = r_time[r]
+            gaps[0] += run
+            run = int(gaps[-1]) if row_goes_on else 0
+            gaps[-1] -= run
+            terms[gap_at] = gaps * sigma
+            terms[pos] = air
+            r_time[r] = float(np.add.accumulate(terms)[-1])
+            del gap_at, gaps
+        else:
+            terms = np.full(size + 1, sigma)
+            terms[0] = r_time[r]
+            terms[x + 1] = air
+            busy = np.ones(size + 2, dtype=bool)
+            np.logical_or(in_backoff, event, out=busy[1:-1])
+            r_time[r], run = _add_time(terms, busy, run, sigma, row_goes_on)
+            del in_backoff, busy
         r_idle[r] += size - np.count_nonzero(n_tx)
         r_col[r] += np.count_nonzero(n_tx > 1)
         r_slots[r] += size
-        del tt, x, n_tx, event, in_backoff, terms, busy
+        del tt, x, pos, n_tx, event, terms
 
         # per node, the transmissions' sums in slot order: ti lists each
         # node's transmissions in slot order, and np.add.at adds in index order

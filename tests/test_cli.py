@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -331,3 +334,36 @@ def test_wide_window_simulates(tmp_path):
     _, rows = read_csv(out / "simulate.csv")
     assert int(rows[2]["w"]) > 2**32
     assert float(rows[2]["throughput_sim"]) == 0.0
+
+
+def _files(out):
+    return {p.name: p.read_bytes() for p in sorted(out.iterdir())} if out.exists() else {}
+
+
+def test_main_runs_many_commands_in_one_process(tmp_path):
+    # main parses with one parser per process; each call must behave as a
+    # fresh process running that command alone
+    spath = write_scenario(tmp_path, bundled_scenario("example1"))
+    ppath = write_point(tmp_path, [10.0, 20.0, 30.0, 40.0, 50.0, 60.0], [0.01] * 6)
+    commands = {
+        "optimize": ["optimize", "--scenario", str(spath)],
+        "simulate": ["simulate", "--scenario", str(spath), "--point", str(ppath),
+                     "--slots", "20000", "--warmup", "1000", "--seed", "4", "--trace"],
+        "bad": ["simulate", "--scenario", str(spath), "--point", str(ppath),
+                "--slots", "many"],
+    }
+
+    def in_process(argv):
+        try:
+            return main(argv)
+        except SystemExit as stop:   # argparse's exit on a bad argument
+            return stop.code
+
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parent.parent / "src"))
+    for name, argv in commands.items():
+        here, fresh = tmp_path / f"{name}-here", tmp_path / f"{name}-fresh"
+        code = in_process(argv + ["--out", str(here)])
+        proc = subprocess.run([sys.executable, "-m", "wpcsma.cli", *argv, "--out", str(fresh)],
+                              env=env, capture_output=True)
+        assert code == proc.returncode == {"bad": 2}.get(name, 0), name
+        assert _files(here) == _files(fresh), name

@@ -235,6 +235,16 @@ def test_a_point_must_name_one_value_per_node_and_a_node(example1):
             probe()
 
 
+def test_energy_coefficients_take_only_a_node_index(example1):
+    # -1 once gave node 5's coefficients and 6 a bare IndexError
+    for i in (-1, 6):
+        with pytest.raises(InvalidParameterError,
+                           match=rf"node index must be in 0\.\.5, got {i}"):
+            energy_coefficients(example1, i)
+    md = model.build(example1)
+    assert energy_coefficients(example1, np.int64(5)).f == md.f[5]
+
+
 # --- the all-node breakdown against its per-node form (tests/energy_oracle.py) ---
 
 def same_bits(got, want) -> bool:

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -332,11 +333,24 @@ def _oracle_cases():
     # the default rule and a warmup that ends inside the second one
     cases.append(pytest.param(3, [1, 2, 3], [1, 1, 1], 10_000, {"g": 400}, True, _SLOTS,
                               id="N3-W1-warmup10000"))
-    # a sparse point whose batch rows (9,000 slots) hold whole pieces of
-    # 8192 slots at the default rule
+    # a sparse point with batch rows of 9,000 slots: at the default rule the
+    # dense form's rows hold whole pieces of 8192 slots, and the sparse form's
+    # pieces are whole rows
     cases.append(pytest.param(2, [2, 3], [1, 5], 611, {"g": 400}, True, 180_013,
                               id="N2-sparse-long-pieces"))
+    # sum tau 0.143 and 0.161, one each side of sim._SPARSE_BELOW
+    for w, side in (([10, 6], "below"), ([6, 4], "above")):
+        cases.append(pytest.param(2, [2, 3], w, 611, {}, True, _SLOTS,
+                                  id=f"N2-{side}-crossover"))
     return cases
+
+
+def test_crossover_cases_straddle_the_form_switch():
+    # m = 3n + 2 = 8 and 11 for the crossover cases above
+    below, above = (float(np.sum(tau_from_window(np.array(w, dtype=float),
+                                                 np.array([8, 11]))))
+                    for w in ([10, 6], [6, 4]))
+    assert sim_mod._sparse(below) and not sim_mod._sparse(above)
 
 
 def _assert_same_stats(a, b):
@@ -363,6 +377,9 @@ _PIECES = ((1, 201), (7, 1_207), (64, _SLOTS), (None, None))
 # Backoffs a node draws at a time: blocks of 1 and 3 run out inside pieces
 # and at their edges, and every block equals the oracle's scalar draws.
 _BLOCKS = (1, 3, sim_mod._BACKOFF_BLOCK)
+# The two forms of pass 2, each forced through the crossover constant: the
+# dense form accounts every slot, the sparse form only the busy ones.
+_FORMS = {"dense": 0.0, "sparse": math.inf}
 
 
 @pytest.mark.parametrize("nn, n, w, warmup, node_kw, occupancy, slots", _oracle_cases())
@@ -370,14 +387,15 @@ def test_event_core_matches_slot_loop(tmp_path, monkeypatch, nn, n, w, warmup,
                                       node_kw, occupancy, slots):
     scn = make_scenario([make_node(n_max=6, **node_kw) for _ in range(nn)])
     want = {}
-    spans = []
+    spans = {form: [] for form in _FORMS}
     rule = sim_mod._piece_slots
-    for (piece, measured), block in itertools.product(_PIECES, _BLOCKS):
+    for (piece, measured), block, form in itertools.product(_PIECES, _BLOCKS, _FORMS):
         monkeypatch.setattr(sim_mod, "_BACKOFF_BLOCK", block)
+        monkeypatch.setattr(sim_mod, "_SPARSE_BELOW", _FORMS[form])
         if piece is None:
             measured = slots
             monkeypatch.setattr(sim_mod, "_piece_slots",
-                                lambda rate: spans.append(rule(rate)) or spans[-1])
+                                lambda rate, got=spans[form]: got.append(rule(rate)) or got[-1])
         else:
             monkeypatch.setattr(sim_mod, "_piece_slots", lambda rate, piece=piece: piece)
         for seed, traced in ((3, False), (4, True)):
@@ -396,8 +414,8 @@ def test_event_core_matches_slot_loop(tmp_path, monkeypatch, nn, n, w, warmup,
             _assert_same_stats(got, want[key])
             if traced:
                 assert (tmp_path / "event.csv").read_bytes() == want[key, "trace"]
-    if slots > _SLOTS:
-        assert 4096 < spans[0] < slots // 20   # rows hold whole long pieces
+    if slots > _SLOTS:   # rows hold whole long pieces, or are whole pieces
+        assert 4096 < spans["dense"][0] < slots // 20 <= spans["sparse"][0]
 
 
 def test_event_slot_telemetry():

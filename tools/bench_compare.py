@@ -13,7 +13,14 @@ alternating which side runs first. OUT records:
   measured code even when it is not committed;
 - per workload and seed, every run (its metrics, digest, correctness and
   failed operations) and per side the median, quartiles and p90 of
-  `run_s`, `setup_s` and `peak_rss_mib`, with the pairs HEAD won on each.
+  `run_s`, `setup_s` and `peak_rss_mib`, with the pairs HEAD won on each;
+- per workload, seed and metric a verdict (`verdict`), judged with the
+  metric's direction and bound from the BENCHMARK.json beside this file:
+  "gain" when HEAD won at least 9 of the 10 pairs and its median is better
+  by more than BASE's interquartile range; "regression" when HEAD's median
+  is worse than BASE's by more than the bound (a share of BASE's median);
+  "unresolved" when either side's interquartile range exceeds the bound
+  (as a share of its median); "unchanged" otherwise.
 
 The set is fixed: the three workloads of BENCHMARK.json at seed 1 and
 again at the held-back seed 2, so that a claim on any of them is confirmed
@@ -35,6 +42,8 @@ import sys
 from pathlib import Path
 
 METRICS = ("run_s", "setup_s", "peak_rss_mib")
+BENCHMARK = Path(__file__).resolve().parents[1] / "BENCHMARK.json"
+GAIN_WINS = 9
 RUNS = (("opt-scaling", 1), ("opt-scaling", 2), ("sim-dense", 1), ("sim-dense", 2),
         ("paper-pipeline", 1), ("paper-pipeline", 2))
 PAIRS = 10
@@ -96,6 +105,21 @@ def summary(values: list[float]) -> dict:
             "runs": len(values)}
 
 
+def verdict(base: list[float], head: list[float], better: str, bound: float) -> str:
+    """The verdict on one metric from paired runs, base[k] beside head[k]."""
+    sign = 1.0 if better == "lower" else -1.0
+    b, h = summary(base), summary(head)
+    wins = sum(sign * (y - x) < 0 for x, y in zip(base, head))
+    gap = sign * (b["median"] - h["median"])   # > 0: HEAD is better
+    if -gap > bound * abs(b["median"]):
+        return "regression"
+    if wins >= GAIN_WINS and gap > b["q3"] - b["q1"]:
+        return "gain"
+    if any(s["q3"] - s["q1"] > bound * abs(s["median"]) for s in (b, h)):
+        return "unresolved"
+    return "unchanged"
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("base", type=Path)
@@ -103,6 +127,7 @@ def main(argv=None) -> int:
     ap.add_argument("out", type=Path)
     args = ap.parse_args(argv)
     sides = {"base": args.base.resolve(), "head": args.head.resolve()}
+    bounds = {m["name"]: m for m in json.loads(BENCHMARK.read_text())["end_to_end"]}
     doc = {"machine": machine(), **{side: describe(root) for side, root in sides.items()},
            "workloads": {}}
     for name, seed in RUNS:
@@ -118,6 +143,10 @@ def main(argv=None) -> int:
                 entry[side] = {m: summary([r[m] for r in runs[side]]) for m in METRICS}
             entry["head_wins"] = {m: sum(h[m] < b[m] for b, h in zip(runs["base"], runs["head"]))
                                   for m in METRICS}
+            entry["verdict"] = {m: verdict([r[m] for r in runs["base"]],
+                                           [r[m] for r in runs["head"]],
+                                           bounds[m]["better"], bounds[m]["bound"])
+                                for m in METRICS}
         doc["workloads"][f"{name}:seed{seed}"] = entry
     args.out.write_text(json.dumps(doc, indent=1) + "\n")
     return 0
