@@ -49,8 +49,9 @@ _SPARSE_PIECE_CAP = 2**16       # slots per piece of the sparse form: offsets fi
 # the sparse form of pass 2, which accounts only the busy slots. Sweep on
 # the bundled scenarios at W = 1, 4 and 16, interleaved runs on a 2-core x86
 # host (CHANGES.md): the sparse form took 0.55-0.75 of the dense form's time
-# at sum tau 0.068-0.168, the two traded places between 0.17 and 0.25, and
-# the sparse form took 1.15-1.3 of it from 0.27 up.
+# at every point with sum tau 0.068-0.148, the faster form depended on the
+# windows between 0.17 and 0.25, and from 0.27 up the sparse form took
+# 1.15-1.3 of it at all but one point (0.94 at 0.364).
 _SPARSE_BELOW = 0.15
 
 

@@ -329,8 +329,9 @@ def _oracle_cases():
     # transmissions of several nodes coincide often
     cases.append(pytest.param(6, [1] * 6, [1, 2, 1, 3, 1, 2], 611, {"h": 1, "g": 1},
                               True, _SLOTS, id="N6-W1-beside-drawing-m2"))
-    # every node at W = 1, so no node draws, with pieces of 8192 slots at
-    # the default rule and a warmup that ends inside the second one
+    # every node at W = 1, so no node draws; at the default rule the dense
+    # form's warmup ends inside its second piece of 8192 slots, and the
+    # sparse form takes the warmup as one piece
     cases.append(pytest.param(3, [1, 2, 3], [1, 1, 1], 10_000, {"g": 400}, True, _SLOTS,
                               id="N3-W1-warmup10000"))
     # a sparse point with batch rows of 9,000 slots: at the default rule the
@@ -338,18 +339,21 @@ def _oracle_cases():
     # pieces are whole rows
     cases.append(pytest.param(2, [2, 3], [1, 5], 611, {"g": 400}, True, 180_013,
                               id="N2-sparse-long-pieces"))
-    # sum tau 0.143 and 0.161, one each side of sim._SPARSE_BELOW
-    for w, side in (([10, 6], "below"), ([6, 4], "above")):
+    for side, w in _CROSSOVER_WINDOWS.items():
         cases.append(pytest.param(2, [2, 3], w, 611, {}, True, _SLOTS,
                                   id=f"N2-{side}-crossover"))
     return cases
 
 
+# windows of two nodes at n = 2 and 3 (m = 3n + 2 = 8 and 11) whose sum of
+# tau, 0.143 and 0.161, lies each side of sim._SPARSE_BELOW
+_CROSSOVER_WINDOWS = {"below": [10, 6], "above": [6, 4]}
+
+
 def test_crossover_cases_straddle_the_form_switch():
-    # m = 3n + 2 = 8 and 11 for the crossover cases above
     below, above = (float(np.sum(tau_from_window(np.array(w, dtype=float),
                                                  np.array([8, 11]))))
-                    for w in ([10, 6], [6, 4]))
+                    for w in _CROSSOVER_WINDOWS.values())
     assert sim_mod._sparse(below) and not sim_mod._sparse(above)
 
 
@@ -374,12 +378,16 @@ def _assert_same_stats(a, b):
 # its runs (one slot per piece costs a numpy pass per slot, so it runs
 # shorter), then the default rule (None) at the case's own length.
 _PIECES = ((1, 201), (7, 1_207), (64, _SLOTS), (None, None))
-# Backoffs a node draws at a time: blocks of 1 and 3 run out inside pieces
-# and at their edges, and every block equals the oracle's scalar draws.
-_BLOCKS = (1, 3, sim_mod._BACKOFF_BLOCK)
 # The two forms of pass 2, each forced through the crossover constant: the
 # dense form accounts every slot, the sparse form only the busy ones.
 _FORMS = {"dense": 0.0, "sparse": math.inf}
+# Backoffs a node draws at a time, each with the form it runs under: blocks
+# of 1 and 3 run out inside pieces and at their edges, and every block
+# equals the oracle's scalar draws. Pass 1 hands both forms the same
+# wake-ups whatever the block, so each small block runs under one form and
+# the default block under both.
+_BLOCK_FORMS = ((1, "dense"), (3, "sparse"),
+                (sim_mod._BACKOFF_BLOCK, "dense"), (sim_mod._BACKOFF_BLOCK, "sparse"))
 
 
 @pytest.mark.parametrize("nn, n, w, warmup, node_kw, occupancy, slots", _oracle_cases())
@@ -389,7 +397,7 @@ def test_event_core_matches_slot_loop(tmp_path, monkeypatch, nn, n, w, warmup,
     want = {}
     spans = {form: [] for form in _FORMS}
     rule = sim_mod._piece_slots
-    for (piece, measured), block, form in itertools.product(_PIECES, _BLOCKS, _FORMS):
+    for (piece, measured), (block, form) in itertools.product(_PIECES, _BLOCK_FORMS):
         monkeypatch.setattr(sim_mod, "_BACKOFF_BLOCK", block)
         monkeypatch.setattr(sim_mod, "_SPARSE_BELOW", _FORMS[form])
         if piece is None:
