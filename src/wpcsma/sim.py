@@ -51,7 +51,10 @@ _SPARSE_PIECE_CAP = 2**16       # slots per piece of the sparse form: offsets fi
 # host (CHANGES.md): the sparse form took 0.55-0.75 of the dense form's time
 # at every point with sum tau 0.068-0.148, the faster form depended on the
 # windows between 0.17 and 0.25, and from 0.27 up the sparse form took
-# 1.15-1.3 of it at all but one point (0.94 at 0.364).
+# 1.15-1.3 of it at all but one point (0.94 at 0.364). Below 0.15 at W = 64,
+# 128 and 1024, where nearly every slot is busy, it took 0.71-0.96 of the
+# dense form's time at all but one point (1.04 at 0.138, W = 64), and its
+# larger pieces added up to 0.17 MiB of peak numpy allocation.
 _SPARSE_BELOW = 0.15
 
 
@@ -110,34 +113,35 @@ def _node_integers(name: str, values, nn: int) -> list[int]:
     return [int(v) for v in vals]
 
 
-def _add_time(terms, busy, run: int, sigma: float, row_goes_on: bool):
+def _add_time(terms, at, k, run: int, sigma: float, tail_open: bool, keep=None):
     """A row's time after a piece, and the length of an all-asleep run left
     open at the piece's end.
 
-    `terms` holds the row's time so far and then each slot's term (an event
-    slot's duration, sigma for an idle one), added strictly left to right.
-    `busy` holds True at both ends and between them, per slot, whether it is
-    not part of a run in which every node sleeps: a run of k such slots adds
-    k * sigma once instead. `run` is the length of such a run that reached
-    the piece's start; a run that reaches the piece's end is left open while
-    the row goes on. Both arrays are overwritten.
+    `terms` holds the row's time so far and then the piece's terms (an
+    event slot's duration, sigma for an idle one), added strictly left to
+    right. Each run of k slots in which every node sleeps adds k * sigma
+    once, as the term at index `at` of `terms`; `k` holds the runs' lengths.
+    `run` is the length of such a run that reached the piece's start: it
+    joins a run whose term is at index 1, else it is added to the row's
+    time. When `tail_open`, the last run reaches the piece's end and the
+    row goes on, so it is left open. `keep`, if given, selects the terms
+    that are summed, and the runs' terms are kept with them. `terms`, `k`
+    and `keep` are overwritten.
     """
-    flips = (busy[1:] != busy[:-1]).nonzero()[0]
-    starts, stops = flips[0::2], flips[1::2]   # slot j is busy[j + 1], terms[j + 1]
-    k = stops - starts
     if run:
-        if starts.size and starts[0] == 0:
+        if at.size and at[0] == 1:
             k[0] += run
         else:
             terms[0] += run * sigma
     run = 0
-    if row_goes_on and stops.size and stops[-1] == len(terms) - 1:
+    if tail_open:
         run = int(k[-1])
-        starts, k = starts[:-1], k[:-1]
-    keep = busy[:-1]   # the row's time, the busy slots and each run's first
-    keep[starts + 1] = True
-    terms[starts + 1] = k * sigma
-    return float(np.add.accumulate(terms[keep])[-1]), run
+        k[-1] = 0
+    terms[at] = k * sigma
+    if keep is not None:
+        keep[at] = True
+        terms = terms[keep]
+    return float(np.add.accumulate(terms)[-1]), run
 
 
 def _trace_text(p0: int, p1: int, x, ti) -> str:
@@ -177,8 +181,9 @@ def _busy_runs(lo, hi, size: int):
     form all-asleep runs. The terms are laid out as [row time, per busy run:
     one gap term for the all-asleep slots before it, then its slots, the
     tail's gap term]. Returns the shift that puts offset j of interval k at
-    index j + shift[k] of the terms, the index of each gap term (the tail's
-    is the last one) and each gap's length in slots.
+    index j + shift[k] of the terms after the row's time, the index of each
+    gap term among all the terms (the tail's is the last one) and each gap's
+    length in slots.
     """
     order = np.argsort(lo.astype(np.uint16), kind="stable")   # radix sort
     lo, hi = lo[order], hi[order]
@@ -195,7 +200,7 @@ def _busy_runs(lo, hi, size: int):
     gaps[1:] -= ends
     gaps[1:] -= 1
     shift = np.empty_like(lo)
-    shift[order] = (gap_at[:-1] + 1 - starts)[np.cumsum(head) - 1]
+    shift[order] = (gap_at[:-1] - starts)[np.cumsum(head) - 1]
     return shift, gap_at, gaps
 
 
@@ -337,7 +342,7 @@ def simulate(scenario: Scenario, n, w, cfg: SimConfig) -> SimStats:
             shift, gap_at, gaps = _busy_runs(np.maximum(s, p0) - p0,
                                              np.minimum(t, p1 - 1) - p0, size)
             pos = x + shift[due]
-            n_tx = np.bincount(pos, minlength=gap_at[-1] + 1)
+            n_tx = np.bincount(pos, minlength=gap_at[-1])
             event = n_tx > 0
             event[woke - p0 + shift[fresh]] = True
             del shift
@@ -365,24 +370,26 @@ def simulate(scenario: Scenario, n, w, cfg: SimConfig) -> SimStats:
         succ = n_tx[pos] == 1
         air = np.where(succ, t_succ[ti], t_col)
         row_goes_on = p1 < edges[r + 1]
+        terms = np.full(len(n_tx) + 1, sigma)
+        terms[0] = r_time[r]
+        terms[pos + 1] = air
         if sparse:
-            terms = np.full(gap_at[-1] + 1, sigma)
-            terms[0] = r_time[r]
-            gaps[0] += run
-            run = int(gaps[-1]) if row_goes_on else 0
-            gaps[-1] -= run
-            terms[gap_at] = gaps * sigma
-            terms[pos] = air
-            r_time[r] = float(np.add.accumulate(terms)[-1])
+            # every busy run has a gap before it and the tail's gap ends
+            # the piece, each gap possibly empty
+            r_time[r], run = _add_time(terms, gap_at, gaps, run, sigma, row_goes_on)
             del gap_at, gaps
         else:
-            terms = np.full(size + 1, sigma)
-            terms[0] = r_time[r]
-            terms[x + 1] = air
+            # slot j is busy[j + 1], terms[j + 1]; the sentinels at both
+            # ends make the flips pair up as the all-asleep runs' edges
             busy = np.ones(size + 2, dtype=bool)
             np.logical_or(in_backoff, event, out=busy[1:-1])
-            r_time[r], run = _add_time(terms, busy, run, sigma, row_goes_on)
-            del in_backoff, busy
+            flips = (busy[1:] != busy[:-1]).nonzero()[0]
+            starts, stops = flips[0::2], flips[1::2]
+            tail_open = row_goes_on and stops.size > 0 and stops[-1] == size
+            # the row's time, the busy slots and each run's first
+            r_time[r], run = _add_time(terms, starts + 1, stops - starts, run, sigma,
+                                       tail_open, keep=busy[:-1])
+            del in_backoff, busy, flips, starts, stops
         r_idle[r] += size - np.count_nonzero(n_tx)
         r_col[r] += np.count_nonzero(n_tx > 1)
         r_slots[r] += size

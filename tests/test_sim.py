@@ -383,11 +383,11 @@ _PIECES = ((1, 201), (7, 1_207), (64, _SLOTS), (None, None))
 _FORMS = {"dense": 0.0, "sparse": math.inf}
 # Backoffs a node draws at a time, each with the form it runs under: blocks
 # of 1 and 3 run out inside pieces and at their edges, and every block
-# equals the oracle's scalar draws. Pass 1 hands both forms the same
-# wake-ups whatever the block, so each small block runs under one form and
-# the default block under both.
-_BLOCK_FORMS = ((1, "dense"), (3, "sparse"),
-                (sim_mod._BACKOFF_BLOCK, "dense"), (sim_mod._BACKOFF_BLOCK, "sparse"))
+# equals the oracle's scalar draws. Every block runs under the dense form,
+# and the blocks of 3 and the default under the sparse form too, whose
+# piece edges differ from the dense form's at the default rule.
+_BLOCK_FORMS = ((1, "dense"), (3, "dense"), (sim_mod._BACKOFF_BLOCK, "dense"),
+                (3, "sparse"), (sim_mod._BACKOFF_BLOCK, "sparse"))
 
 
 @pytest.mark.parametrize("nn, n, w, warmup, node_kw, occupancy, slots", _oracle_cases())
