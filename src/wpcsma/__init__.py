@@ -1,6 +1,6 @@
 """Model, optimizer and simulator for RF-powered 802.11 sensor networks."""
 
-from .energy import (EnergyBreakdown, EnergyCoefficients, backoff_energy,
+from .energy import (EnergyBreakdown, EnergyCoefficients,
                      collision_transmit_energy, constraint_slack, cycle_energy,
                      energy_coefficients, success_transmit_energy)
 from .mac import (PerfReport, SlotProbabilities, alpha_from_tau,
@@ -16,8 +16,7 @@ from .params import (DutyCycle, InfeasibleError, InvalidParameterError,
 from .scenario_io import (bundled_scenario, load_scenario, save_scenario,
                           scenario_from_dict, scenario_to_dict)
 from .sim import SimConfig, SimStats, empirical_energy_check, simulate
-from .timing import (FrameTimes, amsdu_duration, collision_duration,
-                     frame_times, header_overhead, success_duration,
-                     success_overhead, timeout_duration)
+from .timing import (FrameTimes, collision_duration, frame_times,
+                     header_overhead, success_overhead, timeout_duration)
 
 __version__ = "0.1.0"

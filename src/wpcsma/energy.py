@@ -14,27 +14,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 
-import numpy as np
-
 from . import model
-from .mac import tau_from_alpha, window_from_alpha
-from .params import DutyCycle, PowerProfile, ProtocolParams, Scenario, require
+from .mac import slot_probabilities, tau_from_alpha, window_from_alpha
+from .params import DutyCycle, PowerProfile, ProtocolParams, Scenario
 from .timing import FrameTimes
 
 
-def backoff_energy(p: ProtocolParams, power: PowerProfile, w: float) -> float:
+def _backoff(p, power, w):
     """Expected listening energy of one backoff: DIFS plus (w-1)/2 slots.
 
     Countdown deferred behind others' transmissions is carrier-sensed
-    virtually and costs nothing. Negative for w < 1 - 2*DIFS/sigma, which can
-    only be reached through the alpha-extrapolated window.
+    virtually and costs nothing. Also taken below w = 1, where the
+    alpha-parametrized model extrapolates: negative for w < 1 - 2*DIFS/sigma.
     """
-    require(w >= 1, "contention window must be >= 1")
-    return _backoff(p, power, w)
-
-
-def _backoff(p, power, w):
-    # also below w = 1, where the alpha-parametrized model extrapolates
     return (p.t_difs + (w - 1.0) / 2.0 * p.sigma) * power.p_listen
 
 
@@ -65,7 +57,7 @@ class EnergyBreakdown:
     `_breakdown`), plus its harvest budget.
 
     e_backoff (and with it e_tx_total / e_total) extrapolates below zero when
-    the recovered window is far under one slot; see `backoff_energy`.
+    the recovered window is far under one slot; see `_backoff`.
     """
 
     e_acq: float
@@ -82,13 +74,11 @@ class EnergyBreakdown:
         return self.budget - self.e_total
 
 
-def _breakdown(md, n, w, tau) -> EnergyBreakdown:
-    """Every node's breakdown at samples n, windows w and attempt probabilities
-    tau; node i's exchange succeeds if every other node stays quiet."""
-    p, k = md.protocol, md.n
-    # the others' 1 - tau_j of each node, gathered into contiguous rows
-    others = np.broadcast_to(1.0 - tau, (k, k))[~np.eye(k, dtype=bool)]
-    p_quiet = others.reshape(k, k - 1).prod(-1)
+def _breakdown(md, n, w, probs) -> EnergyBreakdown:
+    """Every node's breakdown at samples n, windows w and slot probabilities
+    probs; node i's exchange succeeds if every other node stays quiet
+    (`probs.p_quiet[i]`)."""
+    p, p_quiet = md.protocol, probs.p_quiet
     e_acq, e_proc, e_fixed = fixed_energy(p, md.power, md.duty, n)
     e_bo = _backoff(p, md.power, w)
     e_data = (p_quiet * success_transmit_energy(p, md.power, md.times, n)
@@ -107,10 +97,13 @@ def _row(cls, arrays, i: int):
 
 def cycle_energy(scenario: Scenario, i: int, n, alpha) -> EnergyBreakdown:
     """Full per-cycle energy breakdown for node i at a decision point: row i
-    of `_breakdown` at the windows and attempt probabilities alpha recovers."""
+    of `_breakdown` at the windows and slot probabilities alpha recovers.
+    Raises InvalidParameterError where an attempt probability rounds to 1,
+    as `evaluate` does."""
     md, n, alpha = model.at_point(scenario, n, alpha, i)
     w = window_from_alpha(alpha, n * md.duty.h + md.duty.g)
-    return _row(EnergyBreakdown, _breakdown(md, n, w, tau_from_alpha(alpha)), i)
+    probs = slot_probabilities(tau_from_alpha(alpha))
+    return _row(EnergyBreakdown, _breakdown(md, n, w, probs), i)
 
 
 @dataclass(frozen=True)

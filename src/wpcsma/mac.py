@@ -88,27 +88,30 @@ class SlotProbabilities:
     """What one MAC slot turns out to be, under independent attempts."""
 
     p_idle: float
+    p_quiet: np.ndarray     # per node: every other node stays quiet
     p_succ: np.ndarray      # per node: that node alone transmits
     p_col: float            # two or more transmit
     p_col_node: np.ndarray  # per node: it transmits and at least one other does
 
 
 def slot_probabilities(taus) -> SlotProbabilities:
-    """Slot-type probabilities for per-node attempt probabilities `taus`."""
+    """Slot-type probabilities for per-node attempt probabilities `taus`.
+
+    `p_quiet[i]`, the product of 1 - tau_j over j != i, is the one value of
+    that product: throughput, air-time and the exchange energy all read it.
+    Row i multiplies the others in node order, as `np.delete(1 - taus, i)`
+    lists them (no division, which would lose precision as tau_i -> 1).
+    """
     taus = np.asarray(taus, dtype=float)
     require(np.all((taus > 0.0) & (taus < 1.0)), "each tau must be in (0, 1)")
-    quiet = 1.0 - taus
+    quiet, k = 1.0 - taus, taus.size
     p_idle = float(np.prod(quiet))
-    # prod over j != i as prefix times suffix products (no division, which
-    # would lose precision as tau_i -> 1)
-    before = np.concatenate(([1.0], np.cumprod(quiet[:-1])))
-    after = np.concatenate((np.cumprod(quiet[:0:-1])[::-1], [1.0]))
-    prod_others = before * after
-    p_succ = taus * prod_others
+    others = np.broadcast_to(quiet, (k, k))[~np.eye(k, dtype=bool)]
+    p_quiet = others.reshape(k, k - 1).prod(-1)
+    p_succ = taus * p_quiet
     p_col = 1.0 - p_idle - float(np.sum(p_succ))
-    p_col_node = taus * (1.0 - prod_others)
-    return SlotProbabilities(p_idle=p_idle, p_succ=p_succ,
-                             p_col=max(p_col, 0.0), p_col_node=p_col_node)
+    return SlotProbabilities(p_idle=p_idle, p_quiet=p_quiet, p_succ=p_succ,
+                             p_col=max(p_col, 0.0), p_col_node=taus * (1.0 - p_quiet))
 
 
 def channel_load(scenario: Scenario, n, alpha) -> float:

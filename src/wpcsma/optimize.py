@@ -403,7 +403,7 @@ def decision_reports(scenario: Scenario, n, alpha):
 
 def _decision_reports(md, n, alpha):
     perf = mac._evaluate(md, n, alpha)
-    breakdown = energy._breakdown(md, n, perf.window, perf.tau)
+    breakdown = energy._breakdown(md, n, perf.window, perf.slot_probs)
     return (perf, tuple(energy._row(energy.EnergyBreakdown, breakdown, i) for i in range(md.n)),
             model.slacks(md, n, alpha))
 

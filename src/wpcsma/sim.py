@@ -507,7 +507,8 @@ def empirical_energy_check(scenario: Scenario, n, w, cfg: SimConfig,
     n = np.array(_node_integers("samples", n, md.n), dtype=float)
     w = np.array(_node_integers("window", w, md.n), dtype=float)
     m = np.floor(n * md.duty.h + md.duty.g)  # the simulator's integer sleep
-    ana = energy_model._breakdown(md, n, w, mac.tau_from_window(w, m))
+    probs = mac.slot_probabilities(mac.tau_from_window(w, m))
+    ana = energy_model._breakdown(md, n, w, probs)
     const = ana.e_acq + ana.e_proc + ana.e_bg
     columns = [("acq+proc+bg", const, stats.energy_per_cycle - stats.energy_backoff
                 - stats.energy_data, True),

@@ -22,22 +22,10 @@ def subheader_duration(p: ProtocolParams, rate: float) -> float:
     return p.l_shdr / rate
 
 
-def amsdu_duration(p: ProtocolParams, link: LinkParams, n: float) -> float:
-    """Duration of an aggregate data frame carrying n equal subframes."""
-    require(n >= 0, "n must be >= 0")
-    return frame_times(p, link).amsdu(n)
-
-
 def success_overhead(p: ProtocolParams, rate: float) -> float:
     """Fixed cost of a successful exchange: headers, RTS/CTS, 3 SIFS, ACK."""
     return (header_overhead(p, rate) + p.t_rts + p.t_cts + 3.0 * p.t_sifs
             + p.t_ack)
-
-
-def success_duration(p: ProtocolParams, link: LinkParams, n: float) -> float:
-    """Wall-clock duration of a successful n-subframe exchange."""
-    require(n >= 0, "n must be >= 0")
-    return frame_times(p, link).success(n)
 
 
 def timeout_duration(p: ProtocolParams) -> float:
@@ -65,9 +53,11 @@ class FrameTimes:
     collision: float
 
     def amsdu(self, n: float) -> float:
+        """Duration of an aggregate data frame carrying n equal subframes."""
         return self.overhead + n * self.per_sample
 
     def success(self, n: float) -> float:
+        """Wall-clock duration of a successful n-subframe exchange."""
         return self.success_overhead + n * self.per_sample
 
 

@@ -11,9 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from wpcsma.energy import (EnergyBreakdown, _backoff, backoff_energy,
-                           collision_transmit_energy, fixed_energy,
-                           success_transmit_energy)
+from wpcsma.energy import (EnergyBreakdown, _backoff, collision_transmit_energy,
+                           fixed_energy, success_transmit_energy)
 from wpcsma.mac import tau_from_alpha, tau_from_window, window_from_alpha
 from wpcsma.params import PowerProfile, ProtocolParams, Scenario, require
 from wpcsma.timing import FrameTimes, frame_times
@@ -67,7 +66,7 @@ def analytical_check(scenario: Scenario, n, w) -> list[tuple[int, str, float]]:
     for i, node in enumerate(scenario.nodes):
         times = frame_times(p, node.link)
         const = fixed_energy(p, node.power, node.duty, n[i])[2]
-        e_bo = backoff_energy(p, node.power, w[i])
+        e_bo = _backoff(p, node.power, w[i])
         e_dat = data_energy(p, node.power, times, n[i], np.delete(taus, i))
         for name, ana in (("acq+proc+bg", const), ("backoff", e_bo),
                           ("data", e_dat), ("total", const + e_bo + e_dat)):

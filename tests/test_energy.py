@@ -8,11 +8,12 @@ import pytest
 
 import energy_oracle as oracle
 from wpcsma import (InvalidParameterError, SimConfig, alpha_from_tau,
-                    backoff_energy, channel_load, collision_transmit_energy,
-                    constraint_slack, cycle_energy, empirical_energy_check,
-                    energy_coefficients, evaluate, success_transmit_energy,
+                    channel_load, collision_transmit_energy, constraint_slack,
+                    cycle_energy, empirical_energy_check, energy_coefficients,
+                    evaluate, success_transmit_energy, tau_from_alpha,
                     tau_from_window)
 from wpcsma import model
+from wpcsma.energy import _backoff
 from wpcsma.mac import window_from_alpha
 from wpcsma.optimize import decision_reports
 from wpcsma.scenario_io import scenario_from_dict
@@ -26,13 +27,12 @@ DATA = Path(__file__).parent / "data"
 
 def test_backoff_energy_minimum_window():
     node = make_node()
-    assert backoff_energy(PROTO, node.power, 1) == pytest.approx(0.34e-6,
-                                                                 rel=1e-12)
+    assert _backoff(PROTO, node.power, 1) == pytest.approx(0.34e-6, rel=1e-12)
 
 
 def test_backoff_energy_linear_in_w():
     node = make_node()
-    vals = [backoff_energy(PROTO, node.power, w) for w in range(1, 40)]
+    vals = [_backoff(PROTO, node.power, w) for w in range(1, 40)]
     diffs = np.diff(vals)
     assert diffs == pytest.approx(np.full(38, PROTO.sigma * 10e-3 / 2),
                                   rel=1e-12)
@@ -51,11 +51,6 @@ def test_backoff_energy_alpha_form():
         via_alpha = (b / alpha - m * PROTO.sigma * node.power.p_listen
                      + PROTO.t_difs * node.power.p_listen)
         assert direct == pytest.approx(via_alpha, rel=1e-9)
-
-
-def test_backoff_energy_rejects_bad_window():
-    with pytest.raises(InvalidParameterError):
-        backoff_energy(PROTO, make_node().power, 0.5)
 
 
 def _e_data(n, alpha):
@@ -175,8 +170,6 @@ def test_cycle_energy_extrapolates_backoff_below_one_slot():
     assert br.e_backoff == ((PROTO.t_difs + (w - 1) / 2 * PROTO.sigma)
                             * node.power.p_listen)
     assert br.e_backoff < 0
-    with pytest.raises(InvalidParameterError):
-        backoff_energy(PROTO, node.power, w)
 
 
 def test_energies_scale_linearly_with_power():
@@ -311,3 +304,31 @@ def test_breakdown_and_energy_check_match_oracle_at_integer_points(w_of):
         assert [g[:2] for g in got] == [v[:2] for v in want]
         assert np.array([g[2] for g in got]).tobytes() == np.array([v[2] for v in want]).tobytes()
         assert all(type(g[2]) is float for g in got)
+
+
+# --- one others-quiet probability behind p_succ, air-time and e_data ---
+
+def test_p_succ_and_exchange_energy_read_one_others_quiet_probability():
+    rng = np.random.default_rng(31)
+    for _ in range(300):
+        scn = random_scenario(rng)
+        n, alpha = random_point(rng, scn)
+        tau = tau_from_alpha(alpha)
+        probs = evaluate(scn, n, alpha).slot_probs
+        reports = decision_reports(scn, n, alpha)[1]
+        for i, node in enumerate(scn.nodes):
+            assert probs.p_quiet[i] == np.prod(np.delete(1.0 - tau, i))
+            assert probs.p_succ[i] == tau[i] * probs.p_quiet[i]
+            times = frame_times(scn.protocol, node.link)
+            assert reports[i].e_data == oracle.data_energy(
+                scn.protocol, node.power, times, float(n[i]), np.delete(tau, i))
+
+
+def test_cycle_energy_refuses_a_tau_that_rounds_to_one(example1):
+    n = np.array([float(nd.duty.n_max) for nd in example1.nodes])
+    alpha = np.r_[np.full(5, 0.01), 1e17]
+    assert tau_from_alpha(alpha[5]) == 1.0
+    for probe in (lambda: evaluate(example1, n, alpha),
+                  lambda: cycle_energy(example1, 0, n, alpha)):
+        with pytest.raises(InvalidParameterError, match=r"tau must be in \(0, 1\)"):
+            probe()

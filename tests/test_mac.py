@@ -111,7 +111,7 @@ def test_slot_probabilities_match_enumeration():
 
 
 def test_slot_probabilities_match_explicit_products():
-    # the prefix/suffix products against the explicit product over j != i
+    # the row products against the explicit product over j != i
     rng = np.random.default_rng(5)
     for n_nodes in range(2, 49):
         taus = rng.uniform(0.001, 0.6, n_nodes)

@@ -2,13 +2,13 @@ import numpy as np
 import pytest
 
 from wpcsma import (InvalidParameterError, LinkParams, ProtocolParams,
-                    amsdu_duration, collision_duration, frame_times,
-                    header_overhead, success_duration, success_overhead,
-                    timeout_duration)
+                    collision_duration, frame_times, header_overhead,
+                    success_overhead, timeout_duration)
 
 from conftest import PROTO
 
 LINK11 = LinkParams(l=400.0, rate=11e6)
+T11 = frame_times(PROTO, LINK11)
 
 
 def test_overhead_infinite_rate_limit():
@@ -34,18 +34,18 @@ def test_overhead_rejects_bad_rate():
 
 
 def test_amsdu_empty_aggregate_is_overhead_only():
-    assert amsdu_duration(PROTO, LINK11, 0) == header_overhead(PROTO, 11e6)
+    assert T11.amsdu(0) == header_overhead(PROTO, 11e6)
 
 
 def test_amsdu_single_subframe():
     expect = header_overhead(PROTO, 11e6) + (400 + 112) / 11e6
-    assert amsdu_duration(PROTO, LINK11, 1) == pytest.approx(expect, rel=1e-12)
+    assert T11.amsdu(1) == pytest.approx(expect, rel=1e-12)
 
 
 def test_amsdu_payload_term_linear_in_n():
-    base = amsdu_duration(PROTO, LINK11, 0)
-    one = amsdu_duration(PROTO, LINK11, 7) - base
-    two = amsdu_duration(PROTO, LINK11, 14) - base
+    base = T11.amsdu(0)
+    one = T11.amsdu(7) - base
+    two = T11.amsdu(14) - base
     assert two == pytest.approx(2 * one, rel=1e-12)
 
 
@@ -58,14 +58,14 @@ def test_success_overhead_value():
 
 def test_success_minus_amsdu_is_handshake():
     for n in (1, 4, 9):
-        gap = success_duration(PROTO, LINK11, n) - amsdu_duration(PROTO, LINK11, n)
+        gap = T11.success(n) - T11.amsdu(n)
         assert gap == pytest.approx(
             PROTO.t_rts + PROTO.t_cts + 3 * PROTO.t_sifs + PROTO.t_ack,
             rel=1e-12)
 
 
 def test_success_strictly_increasing_in_n():
-    durs = [success_duration(PROTO, LINK11, n) for n in range(1, 20)]
+    durs = [T11.success(n) for n in range(1, 20)]
     assert np.all(np.diff(durs) > 0)
 
 
@@ -100,12 +100,10 @@ def test_unit_scaling_consistency():
         t_rts=PROTO.t_rts * scale, t_cts=PROTO.t_cts * scale,
         t_phy_hdr=PROTO.t_phy_hdr * scale, l_mac_hdr=PROTO.l_mac_hdr,
         l_shdr=PROTO.l_shdr, l_fcs=PROTO.l_fcs)
-    link_us = LinkParams(l=400.0, rate=11e6 / scale)
+    t_us = frame_times(proto_us, LinkParams(l=400.0, rate=11e6 / scale))
     for n in (1, 5, 12):
-        assert success_duration(proto_us, link_us, n) == pytest.approx(
-            success_duration(PROTO, LINK11, n) * scale, rel=1e-12)
-        assert amsdu_duration(proto_us, link_us, n) == pytest.approx(
-            amsdu_duration(PROTO, LINK11, n) * scale, rel=1e-12)
+        assert t_us.success(n) == pytest.approx(T11.success(n) * scale, rel=1e-12)
+        assert t_us.amsdu(n) == pytest.approx(T11.amsdu(n) * scale, rel=1e-12)
     assert collision_duration(proto_us) == pytest.approx(
         collision_duration(PROTO) * scale, rel=1e-12)
 

@@ -1,8 +1,9 @@
 """Write the CLI's outputs on the bundled scenarios into one directory.
 
 Usage: python tools/cli_snapshot.py OUT
+       python tools/cli_snapshot.py --compare A B
 
-Runs the wpcsma CLI of the checkout this file sits in (its `src/`) and
+The first form runs the wpcsma CLI of the checkout this file sits in (its `src/`) and
 writes, each into its own subdirectory of OUT:
 
 - reproduce --exp 1 and --exp 2;
@@ -20,11 +21,20 @@ directories is empty, which is the gate of a refactor that must not change
 what the CLI writes. To snapshot another checkout, copy this file into its
 `tools/` directory and run it from there. Standard library only, so that it
 runs unchanged against older checkouts.
+
+The second form compares two such directories, A and B, file by file. For
+each file that differs it prints, for JSON, every path whose number differs
+with its relative difference |a - b| / max(|a|, |b|), and every path present
+on one side only; for CSV, every differing column and `# key=` line, with the
+largest relative difference; for any other file, "bytes differ". It exits 0
+when every file is byte-identical and 1 otherwise.
 """
 
 from __future__ import annotations
 
+import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -60,8 +70,142 @@ def _w16_point(path: Path) -> str:
     return _point(path, n, alpha)
 
 
+def _rel(a: float, b: float) -> float:
+    scale = max(abs(a), abs(b))
+    if not math.isfinite(scale):
+        return math.inf
+    return abs(a - b) / scale
+
+
+def _same(a, b) -> bool:
+    return a == b or (a != a and b != b)  # NaN equals NaN here
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _json_diffs(a, b, path: str = "$"):
+    """One line per differing leaf of two JSON values."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        children = [(f"{path}.{k}", k in a, k in b, a.get(k), b.get(k))
+                    for k in [*a, *(k for k in b if k not in a)]]
+    elif isinstance(a, list) and isinstance(b, list):
+        children = [(f"{path}[{k}]", k < len(a), k < len(b),
+                     a[k] if k < len(a) else None, b[k] if k < len(b) else None)
+                    for k in range(max(len(a), len(b)))]
+    elif _is_number(a) and _is_number(b):
+        if not _same(a, b):
+            yield f"{path}: {a!r} -> {b!r}, rel {_rel(a, b):.3g}"
+        return
+    else:
+        if a != b:
+            yield f"{path}: {a!r} -> {b!r}"
+        return
+    for sub, in_a, in_b, va, vb in children:
+        if in_a and in_b:
+            yield from _json_diffs(va, vb, sub)
+        else:
+            yield f"{sub}: only in {'A' if in_a else 'B'}"
+
+
+def _csv_parts(text: str):
+    """(`# key=value` lines as a dict, header, data rows) of one CSV file."""
+    keys, lines = {}, []
+    for line in text.splitlines():
+        if line.startswith("#"):
+            key, _, value = line[1:].strip().partition("=")
+            keys[key] = value
+        else:
+            lines.append(line)
+    table = list(csv.reader(lines))
+    return keys, (table[0] if table else []), table[1:]
+
+
+def _float(cell: str):
+    try:
+        return float(cell)
+    except ValueError:
+        return None
+
+
+def _cells_diff(cells_a, cells_b) -> str | None:
+    """How two lists of CSV cells differ: the count of differing cells and
+    the largest relative difference of the numeric ones; None if equal."""
+    pairs = [(x, y) for x, y in zip(cells_a, cells_b) if x != y]
+    if not pairs and len(cells_a) == len(cells_b):
+        return None
+    nums = [(_float(x), _float(y)) for x, y in pairs]
+    rels = [_rel(x, y) for x, y in nums if x is not None and y is not None]
+    text = f"{len(pairs)} of {min(len(cells_a), len(cells_b))} differ"
+    if rels:
+        text += f", largest rel {max(rels):.3g}"
+    if len(rels) < len(pairs):
+        text += f", {len(pairs) - len(rels)} not numbers"
+    if len(cells_a) != len(cells_b):
+        text += f", rows {len(cells_a)} -> {len(cells_b)}"
+    return text
+
+
+def _csv_diffs(text_a: str, text_b: str):
+    keys_a, head_a, rows_a = _csv_parts(text_a)
+    keys_b, head_b, rows_b = _csv_parts(text_b)
+    for key in [*keys_a, *(k for k in keys_b if k not in keys_a)]:
+        if key not in keys_a or key not in keys_b:
+            yield f"# {key}=: only in {'A' if key in keys_a else 'B'}"
+        elif keys_a[key] != keys_b[key]:
+            a, b = _float(keys_a[key]), _float(keys_b[key])
+            rel = f", rel {_rel(a, b):.3g}" if a is not None and b is not None else ""
+            yield f"# {key}=: {keys_a[key]} -> {keys_b[key]}{rel}"
+    for name in [*head_a, *(c for c in head_b if c not in head_a)]:
+        if name not in head_a or name not in head_b:
+            yield f"column {name}: only in {'A' if name in head_a else 'B'}"
+            continue
+        ja, jb = head_a.index(name), head_b.index(name)
+        diff = _cells_diff([r[ja] if ja < len(r) else "" for r in rows_a],
+                           [r[jb] if jb < len(r) else "" for r in rows_b])
+        if diff:
+            yield f"column {name}: {diff}"
+
+
+def _file_diffs(a: Path, b: Path) -> list[str]:
+    text_a, text_b = a.read_text(), b.read_text()
+    lines: list[str] = []
+    if a.suffix == ".json":
+        try:
+            lines = list(_json_diffs(json.loads(text_a), json.loads(text_b)))
+        except ValueError:
+            pass
+    elif a.suffix == ".csv":
+        lines = list(_csv_diffs(text_a, text_b))
+    return lines or ["bytes differ"]
+
+
+def compare(dir_a: Path, dir_b: Path) -> int:
+    """Print how two snapshot directories differ; 0 if byte-identical."""
+    files_a = {p.relative_to(dir_a) for p in dir_a.rglob("*") if p.is_file()}
+    files_b = {p.relative_to(dir_b) for p in dir_b.rglob("*") if p.is_file()}
+    differ = 0
+    for rel in sorted(files_a | files_b):
+        if rel not in files_a or rel not in files_b:
+            print(f"{rel}: only in {'A' if rel in files_a else 'B'}")
+        elif (dir_a / rel).read_bytes() != (dir_b / rel).read_bytes():
+            print(f"{rel}:")
+            for line in _file_diffs(dir_a / rel, dir_b / rel):
+                print(f"  {line}")
+        else:
+            continue
+        differ += 1
+    total = len(files_a | files_b)
+    print(f"{differ} of {total} files differ" if differ
+          else f"all {total} files are byte-identical")
+    return 1 if differ else 0
+
+
 def main(argv: list[str]) -> int:
-    if len(argv) != 1:
+    if len(argv) == 3 and argv[0] == "--compare":
+        return compare(Path(argv[1]), Path(argv[2]))
+    if len(argv) != 1 or argv[0].startswith("--"):
         print(__doc__.split("\n\n")[1], file=sys.stderr)
         return 2
     out = Path(argv[0])
