@@ -85,14 +85,26 @@ def _is_number(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
+def _union(a, b) -> list:
+    """The keys of a, then those only in b, each in its own order."""
+    return [*a, *(k for k in b if k not in a)]
+
+
+def _only_in(in_a: bool) -> str:
+    return f"only in {'A' if in_a else 'B'}"
+
+
+_MISSING = object()
+
+
 def _json_diffs(a, b, path: str = "$"):
     """One line per differing leaf of two JSON values."""
     if isinstance(a, dict) and isinstance(b, dict):
-        children = [(f"{path}.{k}", k in a, k in b, a.get(k), b.get(k))
-                    for k in [*a, *(k for k in b if k not in a)]]
+        children = [(f"{path}.{k}", a.get(k, _MISSING), b.get(k, _MISSING))
+                    for k in _union(a, b)]
     elif isinstance(a, list) and isinstance(b, list):
-        children = [(f"{path}[{k}]", k < len(a), k < len(b),
-                     a[k] if k < len(a) else None, b[k] if k < len(b) else None)
+        children = [(f"{path}[{k}]", a[k] if k < len(a) else _MISSING,
+                     b[k] if k < len(b) else _MISSING)
                     for k in range(max(len(a), len(b)))]
     elif _is_number(a) and _is_number(b):
         if not _same(a, b):
@@ -102,11 +114,11 @@ def _json_diffs(a, b, path: str = "$"):
         if a != b:
             yield f"{path}: {a!r} -> {b!r}"
         return
-    for sub, in_a, in_b, va, vb in children:
-        if in_a and in_b:
-            yield from _json_diffs(va, vb, sub)
+    for sub, va, vb in children:
+        if va is _MISSING or vb is _MISSING:
+            yield f"{sub}: {_only_in(vb is _MISSING)}"
         else:
-            yield f"{sub}: only in {'A' if in_a else 'B'}"
+            yield from _json_diffs(va, vb, sub)
 
 
 def _csv_parts(text: str):
@@ -150,16 +162,16 @@ def _cells_diff(cells_a, cells_b) -> str | None:
 def _csv_diffs(text_a: str, text_b: str):
     keys_a, head_a, rows_a = _csv_parts(text_a)
     keys_b, head_b, rows_b = _csv_parts(text_b)
-    for key in [*keys_a, *(k for k in keys_b if k not in keys_a)]:
+    for key in _union(keys_a, keys_b):
         if key not in keys_a or key not in keys_b:
-            yield f"# {key}=: only in {'A' if key in keys_a else 'B'}"
+            yield f"# {key}=: {_only_in(key in keys_a)}"
         elif keys_a[key] != keys_b[key]:
             a, b = _float(keys_a[key]), _float(keys_b[key])
             rel = f", rel {_rel(a, b):.3g}" if a is not None and b is not None else ""
             yield f"# {key}=: {keys_a[key]} -> {keys_b[key]}{rel}"
-    for name in [*head_a, *(c for c in head_b if c not in head_a)]:
+    for name in _union(head_a, head_b):
         if name not in head_a or name not in head_b:
-            yield f"column {name}: only in {'A' if name in head_a else 'B'}"
+            yield f"column {name}: {_only_in(name in head_a)}"
             continue
         ja, jb = head_a.index(name), head_b.index(name)
         diff = _cells_diff([r[ja] if ja < len(r) else "" for r in rows_a],
@@ -169,15 +181,14 @@ def _csv_diffs(text_a: str, text_b: str):
 
 
 def _file_diffs(a: Path, b: Path) -> list[str]:
-    text_a, text_b = a.read_text(), b.read_text()
     lines: list[str] = []
     if a.suffix == ".json":
         try:
-            lines = list(_json_diffs(json.loads(text_a), json.loads(text_b)))
-        except ValueError:
+            lines = list(_json_diffs(json.loads(a.read_text()), json.loads(b.read_text())))
+        except ValueError:  # not JSON after all: only the bytes can be compared
             pass
     elif a.suffix == ".csv":
-        lines = list(_csv_diffs(text_a, text_b))
+        lines = list(_csv_diffs(a.read_text(), b.read_text()))
     return lines or ["bytes differ"]
 
 
@@ -188,7 +199,7 @@ def compare(dir_a: Path, dir_b: Path) -> int:
     differ = 0
     for rel in sorted(files_a | files_b):
         if rel not in files_a or rel not in files_b:
-            print(f"{rel}: only in {'A' if rel in files_a else 'B'}")
+            print(f"{rel}: {_only_in(rel in files_a)}")
         elif (dir_a / rel).read_bytes() != (dir_b / rel).read_bytes():
             print(f"{rel}:")
             for line in _file_diffs(dir_a / rel, dir_b / rel):
