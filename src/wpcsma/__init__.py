@@ -3,10 +3,9 @@
 from .energy import (EnergyBreakdown, EnergyCoefficients,
                      collision_transmit_energy, constraint_slack, cycle_energy,
                      energy_coefficients, success_transmit_energy)
-from .mac import (PerfReport, SlotProbabilities, alpha_from_tau,
-                  attempt_probability, channel_load, evaluate,
-                  slot_probabilities, stationary_distribution, tau_from_alpha,
-                  tau_from_window, window_from_alpha)
+from .mac import (PerfReport, SlotProbabilities, alpha_from_tau, channel_load,
+                  evaluate, slot_probabilities, stationary_distribution,
+                  tau_from_alpha, tau_from_window, window_from_alpha)
 from .optimize import (DecisionVector, KktReport, OptResult, OptimizerConfig,
                        check_kkt, round_decision, solve_alpha_block,
                        solve_bcd, solve_n_block, utility)
@@ -16,7 +15,6 @@ from .params import (DutyCycle, InfeasibleError, InvalidParameterError,
 from .scenario_io import (bundled_scenario, load_scenario, save_scenario,
                           scenario_from_dict, scenario_to_dict)
 from .sim import SimConfig, SimStats, empirical_energy_check, simulate
-from .timing import (FrameTimes, collision_duration, frame_times,
-                     header_overhead, success_overhead, timeout_duration)
+from .timing import FrameTimes, frame_times
 
 __version__ = "0.1.0"

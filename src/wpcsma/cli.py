@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, mac, optimize, sim
+from . import __version__, mac, model, optimize, sim
 from .optimize import (DecisionVector, OptimizerConfig, check_kkt,
                        decision_reports, solve_bcd, utility)
 from .params import InfeasibleError, InvalidParameterError, InvalidStateError
@@ -142,6 +142,7 @@ def cmd_optimize(args) -> int:
     scenario = load_scenario(args.scenario)
     res = solve_bcd(scenario, _optimizer_config(args.config))
     rows, payload = _table_rows(res.decision, res.perf, res.energy, res.slacks)
+    kkt_ok = check_kkt(scenario, res.decision).ok   # raises before any file is written
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     trace_path = out / "utility_trace.csv"
@@ -159,30 +160,24 @@ def cmd_optimize(args) -> int:
     payload["integer_decision"] = {"n": res.integer_n.tolist(),
                                    "w": res.integer_w.tolist(),
                                    "feasible": res.integer_feasible}
-    payload["kkt_ok"] = check_kkt(scenario, res.decision).ok
+    payload["kkt_ok"] = kkt_ok
     write_sidecar(out / "optimize.json", payload)
     print(f"wrote {out/'optimize.csv'} (status: {res.status})")
     return EXIT_OK if res.status == "converged" else EXIT_TOLERANCE
 
 
-def _integer_point(scenario, dv: DecisionVector):
-    """(n, W, tau): n rounded into 1..n_max, and `mac.integer_window` at it."""
-    n_int = np.maximum(1, np.rint(dv.n).astype(int))
-    n_int = np.minimum(n_int, [nd.duty.n_max for nd in scenario.nodes])
-    m_int = np.array([nd.duty.sleep_slots(v)
-                      for nd, v in zip(scenario.nodes, n_int)])
-    return (n_int, *mac.integer_window(dv.alpha, m_int))
-
-
 def integer_point(scenario, dv: DecisionVector):
-    """Integer (n, W) nearest to a continuous decision (`mac.integer_window`)."""
-    return _integer_point(scenario, dv)[:2]
+    """Integer (n, W, tau) nearest to a continuous decision: n rounded into
+    1..n_max, and `mac.integer_window` at its sleep length."""
+    md = model.build(scenario)
+    n_int = np.clip(np.rint(dv.n), 1.0, md.duty.n_max).astype(int)
+    return (n_int, *mac.integer_window(dv.alpha, model.sleep_slots(md, n_int)))
 
 
 def cmd_simulate(args) -> int:
     scenario = load_scenario(args.scenario)
     dv = _load_point(args.point, scenario.n_nodes)
-    n_int, w_int, taus = _integer_point(scenario, dv)
+    n_int, w_int, taus = integer_point(scenario, dv)
     perf = mac.evaluate(scenario, n_int.astype(float), mac.alpha_from_tau(taus))
 
     out = Path(args.out)

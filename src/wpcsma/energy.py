@@ -87,7 +87,7 @@ def _breakdown(md, n, w, probs) -> EnergyBreakdown:
     return EnergyBreakdown(e_acq=e_acq, e_proc=e_proc, e_backoff=e_bo,
                            e_data=e_data, e_tx_total=e_tx,
                            e_bg=md.power.e_bg, e_total=e_fixed + e_tx,
-                           budget=md.power.phi * (n * md.duty.h + md.duty.g) * p.sigma)
+                           budget=md.power.phi * model.sleep_slots(md, n) * p.sigma)
 
 
 def _row(cls, arrays, i: int):
@@ -101,7 +101,7 @@ def cycle_energy(scenario: Scenario, i: int, n, alpha) -> EnergyBreakdown:
     Raises InvalidParameterError where an attempt probability rounds to 1,
     as `evaluate` does."""
     md, n, alpha = model.at_point(scenario, n, alpha, i)
-    w = window_from_alpha(alpha, n * md.duty.h + md.duty.g)
+    w = window_from_alpha(alpha, model.sleep_slots(md, n))
     probs = slot_probabilities(tau_from_alpha(alpha))
     return _row(EnergyBreakdown, _breakdown(md, n, w, probs), i)
 

@@ -70,17 +70,10 @@ def stationary_distribution(w: int, m: int):
     """
     require(w >= 1, "contention window must be >= 1")
     require(m >= 2, "sleep slots must be >= 2")
-    b_a0 = 2.0 / (w + 2.0 * m + 1.0)
+    b_a0 = tau_from_window(w, m)   # the attempt probability: counter 0
     active = b_a0 * (w - np.arange(w)) / w
     sleep = np.full(m, b_a0)
     return active, sleep
-
-
-def attempt_probability(w: int, m: int) -> float:
-    """Probability of transmitting in a slot: the occupancy of counter 0."""
-    require(w >= 1, "contention window must be >= 1")
-    require(m >= 2, "sleep slots must be >= 2")
-    return tau_from_window(w, m)
 
 
 @dataclass(frozen=True)
@@ -163,7 +156,7 @@ def _evaluate(md, n, alpha) -> PerfReport:
 
     airtime = (probs.p_succ * t_succ + probs.p_col_node * md.t_col) / mean_slot
 
-    m = n * md.duty.h + md.duty.g
+    m = model.sleep_slots(md, n)
     return PerfReport(
         throughput=s_reform,
         throughput_renewal=s_renewal,

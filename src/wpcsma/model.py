@@ -1,10 +1,10 @@
 """A scenario flattened into per-node arrays, and the formulas every layer shares.
 
-`load` (the throughput denominator) and `slacks` (energy neutrality) are
-written only here; `mac`, `energy`, `optimize` and `sim` read them. The
-power, duty and frame-time arrays keep the field names of `PowerProfile`,
-`DutyCycle` and `FrameTimes`, so a formula written for one node's
-parameters evaluates every node at once when given the model's.
+`sleep_slots`, `others_quiet`, `load` (the throughput denominator) and
+`slacks` (energy neutrality) are written only here; every other module reads
+them. The power, duty and frame-time arrays keep the field names of
+`PowerProfile`, `DutyCycle` and `FrameTimes`, so a formula written for one
+node's parameters evaluates every node at once when given the model's.
 """
 
 from __future__ import annotations
@@ -84,6 +84,18 @@ def check_node(md, i) -> None:
             f"node index must be in 0..{md.n - 1}, got {i!r}")
 
 
+def sleep_slots(md, n):
+    """Sleep length m = n*h + g in slots of every node, for n samples per cycle."""
+    return n * md.duty.h + md.duty.g
+
+
+def others_quiet(alpha):
+    """prod_{j != i} 1/(1 + alpha_j) for every node i, over the last axis of
+    (..., N) attempt odds: the full product divided out in O(N), for the
+    optimizer. `mac.SlotProbabilities.p_quiet` is the reports' row product."""
+    return (1.0 + alpha) / np.prod(1.0 + alpha, axis=-1, keepdims=True)
+
+
 def load(md, n, alpha):
     """Channel-load factor X, the shared throughput denominator.
 
@@ -101,5 +113,4 @@ def load(md, n, alpha):
 
 def slacks(md, n, alpha) -> np.ndarray:
     """Energy-neutrality slack of every node (coefficient form)."""
-    prod_inv = (1.0 + alpha) / float(np.prod(1.0 + alpha))
-    return md.f - md.a * n - md.b / alpha - (md.c * n + md.d) * prod_inv
+    return md.f - md.a * n - md.b / alpha - (md.c * n + md.d) * others_quiet(alpha)

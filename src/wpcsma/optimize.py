@@ -106,9 +106,9 @@ def _sample_intervals(md, alpha):
     """(lo, hi, ok) for each (..., N) row of alpha, ok saying whether every
     interval of the row is non-empty; a 1-D alpha raises when it is not."""
     alpha = np.asarray(alpha, dtype=float)
-    prod_inv = (1.0 + alpha) / np.prod(1.0 + alpha, axis=-1, keepdims=True)
-    k = md.a + md.c * prod_inv
-    r = md.f - md.b / alpha - md.d * prod_inv
+    quiet = model.others_quiet(alpha)
+    k = md.a + md.c * quiet
+    r = md.f - md.b / alpha - md.d * quiet
     with np.errstate(divide="ignore", invalid="ignore"):
         end = r / k
     # the forms of min(hi, end) and max(lo, end), NaN included
@@ -181,8 +181,8 @@ def _attempt_interval(md, n, alpha, i: int):
     prod_all = float(np.prod(1.0 + alpha))
     lo = ALPHA_FLOOR
     hi = 0.5
-    prod_inv_i = (1.0 + alpha[i]) / prod_all
-    rhs_own = md.f[i] - md.a[i] * n[i] - (md.c[i] * n[i] + md.d[i]) * prod_inv_i
+    rhs_own = (md.f[i] - md.a[i] * n[i]
+               - (md.c[i] * n[i] + md.d[i]) * model.others_quiet(alpha)[i])
     if rhs_own <= 0.0:
         raise InfeasibleError(
             "energy budget admits no attempt rate",
@@ -313,11 +313,11 @@ def _derivatives(md, n, alpha, scale):
     and the upper boxes."""
     x = model.load(md, n, alpha)
     prod = float(np.prod(1.0 + alpha))
-    tau = alpha / (1.0 + alpha)
+    tau = mac.tau_from_alpha(alpha)
     per = md.per_ratio * n * alpha
     grad = np.concatenate([1.0 - md.n * per / x,
                            1.0 - md.n * (per + md.ovh_ratio * alpha + prod * tau) / x])
-    q = (1.0 + alpha) / prod      # prod over the other nodes of 1/(1 + alpha_j)
+    q = model.others_quiet(alpha)
     jac_x = np.outer((md.c * n + md.d) * q, tau)
     np.fill_diagonal(jac_x, md.b / alpha)
     jac = np.hstack([np.diag(-(md.a + md.c * q) * n), jac_x]) / scale[:, None]
@@ -534,7 +534,7 @@ def _round_decision(md, dv):
             best = int(np.argmax(gains))
             n_int[up[best]] += 1.0
             u_cur += gains[best]
-    w_int, tau_int = mac.integer_window(dv.alpha, n_int * md.duty.h + md.duty.g)
+    w_int, tau_int = mac.integer_window(dv.alpha, model.sleep_slots(md, n_int))
     feasible = bool(np.all(model.slacks(md, n_int, mac.alpha_from_tau(tau_int)) >= 0.0))
     return n_int.astype(int), w_int, feasible
 

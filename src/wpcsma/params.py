@@ -81,7 +81,8 @@ class DutyCycle:
     """Static shape of a node's acquire/process/transmit cycle.
 
     The samples-per-cycle count n is a decision variable and is passed to the
-    model separately; a cycle sleeps for n*h + g slots before the radio wakes.
+    model separately; a cycle sleeps for m = n*h + g slots
+    (`model.sleep_slots`) before the radio wakes.
     """
 
     h: int       # slots per sample acquisition
@@ -92,11 +93,6 @@ class DutyCycle:
         require(self.h >= 1, "duty.h must be >= 1")
         require(self.g >= 1, "duty.g must be >= 1")
         require(self.n_max >= 1, "duty.n_max must be >= 1")
-
-    def sleep_slots(self, n: float) -> float:
-        """Sleep duration in slots for n samples per cycle (m = n*h + g)."""
-        require(n >= 1, "samples per cycle must be >= 1")
-        return n * self.h + self.g
 
 
 @dataclass(frozen=True)

@@ -73,8 +73,8 @@ class SimConfig:
                     f"{name} must be an integer, got {v!r}")
         require(self.seed >= 0, "seed must be >= 0")
         require(self.warmup_slots >= 0, "warmup_slots must be >= 0")
-        require(self.n_slots > self.warmup_slots,
-                "n_slots must exceed warmup_slots")
+        require(self.n_slots - self.warmup_slots >= _N_BATCHES,
+                f"n_slots - warmup_slots must be >= {_N_BATCHES}: one slot per batch")
 
 
 @dataclass
@@ -233,13 +233,12 @@ def simulate(scenario: Scenario, n, w, cfg: SimConfig) -> SimStats:
     p = scenario.protocol
     md = model.build(scenario)
     n_arr = np.array(n)
-    m = [int(v) for v in n_arr * md.duty.h + md.duty.g]
+    m = [int(v) for v in model.sleep_slots(md, n_arr)]
     m_arr = np.array(m)
     t_succ = md.times.success(n_arr)
     bits = n_arr * md.payload
     eps_succ = energy_model.success_transmit_energy(p, md.power, md.times, n_arr)
     eps_col = energy_model.collision_transmit_energy(p, md.power, md.times)
-    sigma_pl = p.sigma * md.power.p_listen
     difs_pl = p.t_difs * md.power.p_listen
     cycle_const = energy_model.fixed_energy(p, md.power, md.duty, n_arr)[2]
     t_col = md.t_col
@@ -399,7 +398,7 @@ def simulate(scenario: Scenario, n, w, cfg: SimConfig) -> SimStats:
         # node's transmissions in slot order, and np.add.at adds in index order
         r_succ[r] += np.bincount(ti[succ], minlength=nn)
         r_cycles[r] += np.bincount(ti, minlength=nn)
-        e_bo = difs_pl[ti] + td * sigma_pl[ti]
+        e_bo = difs_pl[ti] + td * md.b[ti]   # md.b: sigma * p_listen
         e_dat = np.where(succ, eps_succ[ti], eps_col[ti])
         for acc, col in ((r_sums[r, 0], air), (r_sums[r, 1], np.where(succ, bits[ti], 0.0)),
                          (r_sums[r, 2], cycle_const[ti] + e_bo + e_dat),
@@ -506,7 +505,7 @@ def empirical_energy_check(scenario: Scenario, n, w, cfg: SimConfig,
     md = model.build(scenario)
     n = np.array(_node_integers("samples", n, md.n), dtype=float)
     w = np.array(_node_integers("window", w, md.n), dtype=float)
-    m = np.floor(n * md.duty.h + md.duty.g)  # the simulator's integer sleep
+    m = model.sleep_slots(md, n)
     probs = mac.slot_probabilities(mac.tau_from_window(w, m))
     ana = energy_model._breakdown(md, n, w, probs)
     const = ana.e_acq + ana.e_proc + ana.e_bg

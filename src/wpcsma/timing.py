@@ -1,41 +1,13 @@
 """Frame and event durations of the DCF + RTS/CTS + A-MSDU exchange.
 
-All functions are pure and take SI inputs (seconds, bits, bits/s).
+`frame_times` derives every one; it is pure and takes SI inputs (s, bits, bits/s).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .params import LinkParams, ProtocolParams, require
-
-
-def header_overhead(p: ProtocolParams, rate: float) -> float:
-    """PHY preamble plus MAC header and FCS bits clocked at the node rate."""
-    require(rate > 0, "rate must be > 0")
-    return p.t_phy_hdr + (p.l_mac_hdr + p.l_fcs) / rate
-
-
-def subheader_duration(p: ProtocolParams, rate: float) -> float:
-    """Per-subframe aggregation header duration at the node rate."""
-    require(rate > 0, "rate must be > 0")
-    return p.l_shdr / rate
-
-
-def success_overhead(p: ProtocolParams, rate: float) -> float:
-    """Fixed cost of a successful exchange: headers, RTS/CTS, 3 SIFS, ACK."""
-    return (header_overhead(p, rate) + p.t_rts + p.t_cts + 3.0 * p.t_sifs
-            + p.t_ack)
-
-
-def timeout_duration(p: ProtocolParams) -> float:
-    """CTS timeout after an unanswered RTS: SIFS + CTS + one slot."""
-    return p.t_sifs + p.t_cts + p.sigma
-
-
-def collision_duration(p: ProtocolParams) -> float:
-    """Time a collided attempt occupies the channel: RTS + CTS timeout."""
-    return p.t_rts + timeout_duration(p)
+from .params import LinkParams, ProtocolParams
 
 
 @dataclass(frozen=True)
@@ -46,11 +18,11 @@ class FrameTimes:
     (payload bits plus subframe header at the node rate).
     """
 
-    overhead: float          # headers only
+    overhead: float          # headers only: PHY preamble, MAC header + FCS at the rate
     success_overhead: float  # headers + RTS/CTS + 3 SIFS + ACK
     per_sample: float        # l/rate + subheader
-    timeout: float
-    collision: float
+    timeout: float           # CTS timeout after an unanswered RTS: SIFS + CTS + slot
+    collision: float         # a collided attempt on the channel: RTS + timeout
 
     def amsdu(self, n: float) -> float:
         """Duration of an aggregate data frame carrying n equal subframes."""
@@ -63,10 +35,12 @@ class FrameTimes:
 
 def frame_times(p: ProtocolParams, link: LinkParams) -> FrameTimes:
     """Bundle every duration of one node's exchange."""
+    overhead = p.t_phy_hdr + (p.l_mac_hdr + p.l_fcs) / link.rate
+    timeout = p.t_sifs + p.t_cts + p.sigma
     return FrameTimes(
-        overhead=header_overhead(p, link.rate),
-        success_overhead=success_overhead(p, link.rate),
-        per_sample=link.l / link.rate + subheader_duration(p, link.rate),
-        timeout=timeout_duration(p),
-        collision=collision_duration(p),
+        overhead=overhead,
+        success_overhead=overhead + p.t_rts + p.t_cts + 3.0 * p.t_sifs + p.t_ack,
+        per_sample=link.l / link.rate + p.l_shdr / link.rate,
+        timeout=timeout,
+        collision=p.t_rts + timeout,
     )

@@ -40,7 +40,7 @@ def cycle_energy(scenario: Scenario, i: int, n, alpha) -> EnergyBreakdown:
     node = scenario.nodes[i]
     times = frame_times(p, node.link)
 
-    m = node.duty.sleep_slots(float(n[i]))
+    m = float(n[i]) * node.duty.h + node.duty.g
     w = window_from_alpha(float(alpha[i]), m)
     taus_others = tau_from_alpha(np.delete(alpha, i))
 
@@ -61,7 +61,7 @@ def analytical_check(scenario: Scenario, n, w) -> list[tuple[int, str, float]]:
     integer n and w."""
     p = scenario.protocol
     rows = []
-    m = [int(node.duty.sleep_slots(ni)) for node, ni in zip(scenario.nodes, n)]
+    m = [int(ni * node.duty.h + node.duty.g) for node, ni in zip(scenario.nodes, n)]
     taus = np.array([tau_from_window(w[i], m[i]) for i in range(scenario.n_nodes)])
     for i, node in enumerate(scenario.nodes):
         times = frame_times(p, node.link)

@@ -24,9 +24,9 @@ import numpy as np
 import pytest
 
 from wpcsma import (DecisionVector, InfeasibleError, SimConfig,
-                    alpha_from_tau, attempt_probability, check_kkt,
-                    constraint_slack, cycle_energy, evaluate, simulate,
-                    stationary_distribution, tau_from_window)
+                    alpha_from_tau, check_kkt, constraint_slack, cycle_energy,
+                    evaluate, simulate, stationary_distribution,
+                    tau_from_window)
 from wpcsma.cli import integer_point, main
 from wpcsma.optimize import argmax_log_minus_linear
 from wpcsma.scenario_io import save_scenario, scenario_from_dict
@@ -219,10 +219,7 @@ def test_c6_model_vs_simulator(example1, example2):
     failures = []
     for scn in (example1, example2):
         res = solve_quiet(scn)
-        n_int, w_int = integer_point(scn, res.decision)
-        m_int = np.array([node.duty.sleep_slots(v)
-                          for node, v in zip(scn.nodes, n_int)])
-        taus = tau_from_window(w_int.astype(float), m_int)
+        n_int, w_int, taus = integer_point(scn, res.decision)
         perf = evaluate(scn, n_int.astype(float), alpha_from_tau(taus))
         st = simulate(scn, n_int, w_int,
                       SimConfig(n_slots=1_000_000, seed=1,
@@ -310,7 +307,7 @@ def test_c7_determinism_and_round_trip(tmp_path, example1, example2):
 
 
 def test_c8_boundary_cases(tmp_path, capsys):
-    exact = attempt_probability(1, 2) == 1 / 3
+    exact = tau_from_window(1, 2) == 1 / 3
     scn = make_scenario([make_node(phi=80e-3, n_max=7)])
     res = solve_quiet(scn)
     single_ok = (res.decision.alpha[0] == pytest.approx(0.5, abs=1e-12)

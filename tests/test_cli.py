@@ -7,7 +7,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import wpcsma.cli as cli
 from wpcsma.cli import main
+from wpcsma.params import InvalidStateError
 from wpcsma.scenario_io import bundled_scenario, save_scenario, scenario_from_dict
 
 from conftest import make_node, make_scenario
@@ -306,6 +308,31 @@ def test_warmup_not_below_slots_exits_invalid(tmp_path, capsys):
     assert code == 3
     assert "warmup_slots" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("slots, warmup", [("5", "0"), ("1019", "1000")])
+def test_fewer_measured_slots_than_batches_exits_invalid(tmp_path, capsys, slots, warmup):
+    # 5 slots ran: 15 of the 20 batches were empty and entered the
+    # confidence intervals as zero ratios
+    ppath = write_point(tmp_path, [10.0] * 6, [0.1] * 6)
+    code = main(["simulate", "--scenario", str(_EXAMPLE1), "--point", str(ppath),
+                 "--slots", slots, "--warmup", warmup, "--out", str(tmp_path / "o")])
+    assert code == 3
+    assert "one slot per batch" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_optimize_kkt_failure_writes_nothing(tmp_path, capsys, monkeypatch):
+    # the certificate ran after the CSVs were written, which a failure left
+    # without their sidecar
+    def fail(*_):
+        raise InvalidStateError("no certificate")
+    monkeypatch.setattr(cli, "check_kkt", fail)
+    spath = write_scenario(tmp_path, make_scenario([make_node(phi=80e-3, n_max=7)]))
+    out = tmp_path / "o"
+    assert main(["optimize", "--scenario", str(spath), "--out", str(out)]) == 4
+    assert "no certificate" in capsys.readouterr().err
+    assert _files(out) == {}
 
 
 def test_window_overflow_exits_invalid(tmp_path, capsys):

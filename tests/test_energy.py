@@ -120,7 +120,7 @@ def test_cycle_components_nonnegative_in_physical_regime():
         scn = random_scenario(rng)
         n = np.array([float(rng.integers(1, node.duty.n_max + 1))
                       for node in scn.nodes])
-        m = np.array([node.duty.sleep_slots(v)
+        m = np.array([v * node.duty.h + node.duty.g
                       for node, v in zip(scn.nodes, n)])
         w = rng.integers(1, 64, scn.n_nodes).astype(float)
         tau = 2 / (w + 2 * m + 1)
@@ -164,7 +164,7 @@ def test_cycle_energy_extrapolates_backoff_below_one_slot():
     node = make_node()
     scn = make_scenario([node, make_node()])
     n, alpha = [10.0, 10.0], [0.5, 0.1]
-    w = window_from_alpha(0.5, node.duty.sleep_slots(10.0))
+    w = window_from_alpha(0.5, 10.0 * node.duty.h + node.duty.g)
     assert w < 1
     br = cycle_energy(scn, 0, n, alpha)
     assert br.e_backoff == ((PROTO.t_difs + (w - 1) / 2 * PROTO.sigma)
@@ -250,7 +250,7 @@ def _stored(name):
 
 
 def _integer_alpha(scn, n, w):
-    m = np.array([nd.duty.sleep_slots(v) for nd, v in zip(scn.nodes, n)])
+    m = np.array([v * nd.duty.h + nd.duty.g for nd, v in zip(scn.nodes, n)])
     return alpha_from_tau(tau_from_window(np.asarray(w, dtype=float), m))
 
 

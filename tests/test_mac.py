@@ -3,10 +3,9 @@ import itertools
 import numpy as np
 import pytest
 
-from wpcsma import (InvalidParameterError, alpha_from_tau, attempt_probability,
-                    channel_load, evaluate, slot_probabilities,
-                    stationary_distribution, tau_from_alpha, tau_from_window,
-                    window_from_alpha)
+from wpcsma import (InvalidParameterError, alpha_from_tau, channel_load,
+                    evaluate, slot_probabilities, stationary_distribution,
+                    tau_from_alpha, tau_from_window, window_from_alpha)
 from wpcsma.timing import frame_times
 
 from conftest import PROTO, make_node, make_scenario
@@ -54,7 +53,7 @@ def test_stationary_normalizes():
         m = int(rng.integers(2, 400))
         active, sleep = stationary_distribution(w, m)
         assert active.sum() + sleep.sum() == pytest.approx(1.0, abs=1e-12)
-        assert active[0] == pytest.approx(attempt_probability(w, m), rel=1e-14)
+        assert active[0] == pytest.approx(tau_from_window(w, m), rel=1e-14)
 
 
 def test_stationary_rejects_bad_args():
@@ -65,16 +64,16 @@ def test_stationary_rejects_bad_args():
 
 
 def test_attempt_probability_values():
-    assert attempt_probability(1, 2) == 1 / 3
-    assert attempt_probability(15, 10) == pytest.approx(1 / 18, rel=1e-14)
+    assert tau_from_window(1, 2) == 1 / 3
+    assert tau_from_window(15, 10) == pytest.approx(1 / 18, rel=1e-14)
 
 
 def test_attempt_probability_monotone():
     for m in (2, 5, 50):
-        taus = [attempt_probability(w, m) for w in range(1, 30)]
+        taus = [tau_from_window(w, m) for w in range(1, 30)]
         assert np.all(np.diff(taus) < 0)
     for w in (1, 8, 64):
-        taus = [attempt_probability(w, m) for m in range(2, 30)]
+        taus = [tau_from_window(w, m) for m in range(2, 30)]
         assert np.all(np.diff(taus) < 0)
 
 

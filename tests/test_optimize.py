@@ -351,7 +351,7 @@ def test_round_decision_feasible_iff_energy_neutral(solved_example1, example1,
              (loose, DecisionVector(n=[6.4], alpha=[0.5]))]
     for scn, dv in cases:
         n_int, w_int, feasible = round_decision(scn, dv)
-        m = np.array([node.duty.sleep_slots(v) for node, v in zip(scn.nodes, n_int)])
+        m = np.array([v * node.duty.h + node.duty.g for node, v in zip(scn.nodes, n_int)])
         alpha = alpha_from_tau(tau_from_window(w_int.astype(float), m))
         slack = np.array([cycle_energy(scn, i, n_int.astype(float), alpha).slack
                           for i in range(scn.n_nodes)])

@@ -15,7 +15,7 @@ from slot_loop_oracle import simulate_slot_loop
 
 
 def analytical_at_integer_point(scn, n, w):
-    m = np.array([node.duty.sleep_slots(v) for node, v in zip(scn.nodes, n)])
+    m = np.array([v * node.duty.h + node.duty.g for node, v in zip(scn.nodes, n)])
     taus = tau_from_window(np.asarray(w, dtype=float), m)
     return evaluate(scn, np.asarray(n, dtype=float), alpha_from_tau(taus))
 
@@ -219,6 +219,16 @@ def test_rejects_bad_integers():
         simulate(scn, [0], [1], cfg)
     with pytest.raises(InvalidParameterError):
         SimConfig(n_slots=100, seed=1, warmup_slots=100)
+
+
+def test_config_needs_a_measured_slot_per_batch():
+    # fewer measured slots than the 20 batches left batches empty, and
+    # their zero ratios entered the confidence intervals
+    with pytest.raises(InvalidParameterError, match="one slot per batch"):
+        SimConfig(n_slots=1_019, seed=1, warmup_slots=1_000)
+    st = simulate(make_scenario([make_node()]), [2], [4],
+                  SimConfig(n_slots=1_020, seed=1, warmup_slots=1_000))
+    assert st.slots == 20
 
 
 @pytest.mark.parametrize("kw", [

@@ -1,9 +1,7 @@
 import numpy as np
 import pytest
 
-from wpcsma import (InvalidParameterError, LinkParams, ProtocolParams,
-                    collision_duration, frame_times, header_overhead,
-                    success_overhead, timeout_duration)
+from wpcsma import InvalidParameterError, LinkParams, ProtocolParams, frame_times
 
 from conftest import PROTO
 
@@ -12,33 +10,34 @@ T11 = frame_times(PROTO, LINK11)
 
 
 def test_overhead_infinite_rate_limit():
-    assert header_overhead(PROTO, 1e18) == pytest.approx(20e-6, rel=1e-9)
+    t = frame_times(PROTO, LinkParams(l=400.0, rate=1e18))
+    assert t.overhead == pytest.approx(20e-6, rel=1e-9)
 
 
 def test_overhead_at_11mbps():
     # 20us + (36+4) bytes at 11 Mb/s
-    assert header_overhead(PROTO, 11e6) == pytest.approx(4.909090909090909e-05,
-                                                         rel=1e-12)
+    assert T11.overhead == pytest.approx(4.909090909090909e-05, rel=1e-12)
 
 
 def test_overhead_at_5p5mbps():
-    assert header_overhead(PROTO, 5.5e6) == pytest.approx(7.818181818181818e-05,
-                                                          rel=1e-12)
+    t = frame_times(PROTO, LinkParams(l=400.0, rate=5.5e6))
+    assert t.overhead == pytest.approx(7.818181818181818e-05, rel=1e-12)
 
 
 def test_overhead_rejects_bad_rate():
-    with pytest.raises(InvalidParameterError):
-        header_overhead(PROTO, 0.0)
-    with pytest.raises(InvalidParameterError):
-        header_overhead(PROTO, -1.0)
+    # the one rate guard: no link with a rate <= 0 reaches frame_times
+    with pytest.raises(InvalidParameterError, match="link.rate"):
+        LinkParams(l=400.0, rate=0.0)
+    with pytest.raises(InvalidParameterError, match="link.rate"):
+        LinkParams(l=400.0, rate=-1.0)
 
 
 def test_amsdu_empty_aggregate_is_overhead_only():
-    assert T11.amsdu(0) == header_overhead(PROTO, 11e6)
+    assert T11.amsdu(0) == T11.overhead
 
 
 def test_amsdu_single_subframe():
-    expect = header_overhead(PROTO, 11e6) + (400 + 112) / 11e6
+    expect = T11.overhead + (400 + 112) / 11e6
     assert T11.amsdu(1) == pytest.approx(expect, rel=1e-12)
 
 
@@ -52,7 +51,7 @@ def test_amsdu_payload_term_linear_in_n():
 def test_success_overhead_value():
     # headers + RTS + CTS + 3 SIFS + ACK at Table values, 11 Mb/s
     expect = 4.909090909090909e-05 + (46.67 + 38.67 + 3 * 16 + 38.67) * 1e-6
-    assert success_overhead(PROTO, 11e6) == pytest.approx(expect, rel=1e-12)
+    assert T11.success_overhead == pytest.approx(expect, rel=1e-12)
     assert expect == pytest.approx(221.1e-6, rel=1e-3)
 
 
@@ -70,9 +69,9 @@ def test_success_strictly_increasing_in_n():
 
 
 def test_collision_and_timeout_values():
-    assert timeout_duration(PROTO) == pytest.approx(63.67e-6, rel=1e-12)
-    assert collision_duration(PROTO) == pytest.approx(110.34e-6, rel=1e-12)
-    assert collision_duration(PROTO) > timeout_duration(PROTO)
+    assert T11.timeout == pytest.approx(63.67e-6, rel=1e-12)
+    assert T11.collision == pytest.approx(110.34e-6, rel=1e-12)
+    assert T11.collision > T11.timeout
 
 
 def test_collision_independent_of_rate_and_n():
@@ -104,8 +103,7 @@ def test_unit_scaling_consistency():
     for n in (1, 5, 12):
         assert t_us.success(n) == pytest.approx(T11.success(n) * scale, rel=1e-12)
         assert t_us.amsdu(n) == pytest.approx(T11.amsdu(n) * scale, rel=1e-12)
-    assert collision_duration(proto_us) == pytest.approx(
-        collision_duration(PROTO) * scale, rel=1e-12)
+    assert t_us.collision == pytest.approx(T11.collision * scale, rel=1e-12)
 
 
 def test_affine_slope_in_n():
