@@ -5,13 +5,15 @@ Maximizes the sum of log throughputs U over (n, alpha) subject to the boxes
 z = (log n, log alpha) the channel load is a posynomial, so U is jointly
 concave, the boxes are linear and only the N energy constraints are not
 convex. `solve_bcd` runs one feasible-iterate SQP in z (Panier & Tits, Math.
-Prog. 59, 1993) whose QPs are least-distance problems solved by NNLS
-(Lawson & Hanson, 1974). `check_kkt` judges a point by one test: the
-multipliers of its active constraints from the same NNLS, and the residual
-of the Lagrangian's gradient per coordinate of z. The one-block solvers
-(closed-form maximizers of log x - gamma*x on an interval) remain for the
-start point and as tools; the start solves its 60 common alphas as one
-(60, N) batch of n blocks, each row stopping on its own test.
+Prog. 59, 1993). Its QPs keep the N energy rows as general constraints and
+the boxes as bounds, and are solved by Goldfarb and Idnani's dual
+active-set method from the previous QP's working set. `check_kkt` judges a
+point by one test: the multipliers of its active constraints from NNLS
+(Lawson & Hanson, 1974), and the residual of the Lagrangian's gradient per
+coordinate of z. The one-block solvers (closed-form maximizers of
+log x - gamma*x on an interval) remain for the start point and as tools;
+the start solves its 60 common alphas as one (60, N) batch of n blocks,
+each row stopping on its own test.
 """
 
 from __future__ import annotations
@@ -287,42 +289,24 @@ def _nnls(a, b, start=None) -> np.ndarray:
     return x
 
 
-def _ldp(e, f, start=None):
-    """Least-distance point argmin ||w|| subject to e w >= f, and its
-    multipliers, through NNLS on the dual (Lawson & Hanson, ch. 23), that
-    NNLS started from the rows in `start`. None when the constraints admit
-    no point."""
-    # the problem is homogeneous in f: scale its largest entry to 1, so
-    # that NNLS's tolerance does not swallow a tiny violation
-    top = float(f.max(initial=0.0))
-    if top <= 0.0:
-        return np.zeros(e.shape[1]), np.zeros(e.shape[0])
-    rows = np.vstack([e.T, f / top])
-    target = np.zeros(rows.shape[0])
-    target[-1] = 1.0
-    u = _nnls(rows, target, start)
-    r = rows @ u - target
-    if -r[-1] <= 1e-12:
-        return None
-    return -top * r[:-1] / r[-1], top * u / -r[-1]
-
-
 def _derivatives(md, n, alpha, scale):
-    """Gradient of U and the constraint rows g(z) >= 0 with their gradients,
-    in z = (log n, log alpha): the energy slacks over `scale`, then the lower
-    and the upper boxes."""
+    """Gradient of U and `_energy_jacobian`, in z = (log n, log alpha). The
+    boxes are bounds on z and have no rows."""
     x = model.load(md, n, alpha)
     prod = float(np.prod(1.0 + alpha))
     tau = mac.tau_from_alpha(alpha)
     per = md.per_ratio * n * alpha
     grad = np.concatenate([1.0 - md.n * per / x,
                            1.0 - md.n * (per + md.ovh_ratio * alpha + prod * tau) / x])
+    return grad, _energy_jacobian(md, n, alpha, scale)
+
+
+def _energy_jacobian(md, n, alpha, scale):
+    """Jacobian of the energy slacks over `scale` in z, one row per node."""
     q = model.others_quiet(alpha)
-    jac_x = np.outer((md.c * n + md.d) * q, tau)
+    jac_x = np.outer((md.c * n + md.d) * q, mac.tau_from_alpha(alpha))
     np.fill_diagonal(jac_x, md.b / alpha)
-    jac = np.hstack([np.diag(-(md.a + md.c * q) * n), jac_x]) / scale[:, None]
-    eye = np.eye(2 * md.n)
-    return grad, np.vstack([jac, eye, -eye])
+    return np.hstack([np.diag(-(md.a + md.c * q) * n), jac_x]) / scale[:, None]
 
 
 def _bounds(md):
@@ -336,21 +320,114 @@ def _energy_scale(md) -> np.ndarray:
     return np.maximum(np.abs(md.f), 1e-30)
 
 
-def _qp_step(hess, grad, rows, h, start=None):
-    """argmax grad.d - d'Bd/2 subject to rows d >= h, and the multipliers of
-    the rows; with B = LL', a least-distance problem in w = L'd - L^-1 grad,
-    its NNLS started from the rows in `start`."""
-    low = np.linalg.cholesky(hess)
-    d0 = np.linalg.solve(hess, grad)
-    sol = _ldp(np.linalg.solve(low, rows.T).T, h - rows @ d0, start)
-    if sol is None:
+def _qp_step(hess, grad, jac, h, lo, hi, work=None):
+    """argmax grad.d - d'Bd/2 subject to jac d >= h and lo <= d <= hi, by
+    `_dual_active_set` started from `work`. B is factored once, B = LL', and
+    B^-1 formed as L^-T L^-1."""
+    inv_low = np.linalg.inv(np.linalg.cholesky(hess))
+    hinv = inv_low.T @ inv_low
+    return _dual_active_set(hinv, hinv @ grad, jac, h, lo, hi, work)
+
+
+def _dual_active_set(hinv, d0, jac, h, lo, hi, work=None):
+    """min (d - d0)'B(d - d0)/2 subject to jac d >= h and lo <= d <= hi, with
+    H = B^-1 given, by Goldfarb and Idnani's dual active-set method (Math.
+    Prog. 27, 1983). Constraint k reads c_k.d >= b_k, with the c_k the rows
+    of jac, then +e_j and -e_j, and b = (h, lo, -hi).
+
+    The start holds as equalities the constraints of the mask `work` (or,
+    without one, those that d0 violates) and drops those with a negative
+    multiplier until none has one. From there the method adds the most
+    violated constraint until none is, each time stepping back to drop a
+    constraint whose multiplier reaches 0; a working set it grew is solved
+    once more, sorted. Returns (d, multipliers of every k), or None when no
+    d is feasible."""
+    m, n = jac.shape
+    b = np.concatenate([h, lo, -hi])
+    hc = np.hstack([hinv @ jac.T, hinv, -hinv])   # H c_k for every k
+
+    def rows(v):
+        """c_k.v for every k, of a vector or of each column of v."""
+        return np.concatenate([jac @ v, v, -v])
+
+    gap = b - rows(d0)
+    if work is None:
+        act = np.flatnonzero(gap > 0.0)
+    else:
+        both = work[m:m + n] & work[m + n:]
+        if both.any():   # no coordinate is held at both of its ends
+            work = work & ~np.concatenate([np.zeros(m, dtype=bool), both, both])
+        act = np.flatnonzero(work)
+    gram, lam = np.zeros((0, 0)), np.zeros(0)
+    try:
+        gram = rows(hc[:, act])[act]
+        lam = np.linalg.solve(gram, gap[act])
+        while lam.size and lam.min() < 0.0:
+            keep = lam >= 0.0
+            act, gram = act[keep], gram[np.ix_(keep, keep)]
+            lam = np.linalg.solve(gram, gap[act])
+    except np.linalg.LinAlgError:   # dependent constraints: start from none
+        act, gram, lam = act[:0], gram[:0, :0], lam[:0]
+    hca = hc[:, act]
+    x = d0 + hca @ lam
+    # rounding error of each c_k.x - b_k
+    ax = np.abs(x)
+    tol = 1e-13 * (np.abs(b) + np.concatenate([np.abs(jac) @ ax, ax, ax]))
+    grown = False
+    for _ in range(3 * len(b)):
+        slack = rows(x) - b + tol
+        slack[act] = 0.0
+        p = int(np.argmin(slack))
+        if slack[p] >= 0.0:
+            break
+        grown, lam_p, viol = True, 0.0, tol[p] - slack[p]
+        while True:
+            hcp = rows(hc[:, p])
+            r = np.linalg.solve(gram, hcp[act])
+            z = hc[:, p] - hca @ r
+            curv = hcp[p] - hcp[act] @ r      # c_p.z, 0 when c_p is dependent
+            full = viol / curv if curv > 1e-12 * hcp[p] else np.inf
+            pos = np.flatnonzero(r > 0.0)
+            part = lam[pos] / r[pos]
+            t = min(full, part.min(initial=np.inf))
+            if t == np.inf:
+                return None
+            if full < np.inf:
+                x = x + t * z
+                viol -= t * curv
+            lam = lam - t * r
+            lam_p += t
+            if full <= t:
+                size = act.size
+                grown_gram = np.empty((size + 1, size + 1))
+                grown_gram[:size, :size] = gram
+                grown_gram[size, :size] = grown_gram[:size, size] = hcp[act]
+                grown_gram[size, size] = hcp[p]
+                gram, act = grown_gram, np.concatenate([act, [p]])
+                lam, hca = np.concatenate([lam, [lam_p]]), hc[:, act]
+                break
+            keep = np.arange(act.size) != pos[np.argmin(part)]
+            act, lam, hca, gram = act[keep], lam[keep], hca[:, keep], gram[np.ix_(keep, keep)]
+    else:
         return None
-    return d0 + np.linalg.solve(low.T, sol[0]), sol[1]
+    if grown:
+        act = np.sort(act)
+        lam = np.linalg.solve(rows(hc[:, act])[act], gap[act])
+        x = d0 + hc[:, act] @ lam
+    # a coordinate held at a bound sits on it exactly
+    ends = act[act >= m] - m
+    k = ends % n
+    x[k] = np.where(ends < n, lo[k], hi[k])
+    mult = np.zeros(len(b))
+    mult[act] = lam
+    return x, mult
 
 
-def _feasible_trial(md, z, lo, hi, scale):
+def _feasible_trial(md, z, lo, hi, scale, work):
     """z, or z pulled onto the curved energy constraints by at most three
-    minimum-norm corrections, as (z, n, alpha); None when still infeasible."""
+    minimum-norm corrections, as (z, n, alpha, slacks); None when still
+    infeasible. Each correction is `_dual_active_set` with B = I, started
+    from the constraints of `work` and the violated energy rows."""
     top = np.concatenate([md.duty.n_max, np.full(md.n, 0.5)])
     for _ in range(4):
         z = np.clip(z, lo, hi)
@@ -359,25 +436,32 @@ def _feasible_trial(md, z, lo, hi, scale):
         n, alpha = v[:md.n], v[md.n:]
         slack = model.slacks(md, n, alpha)
         if np.all(slack >= -1e-18):
-            return z, n, alpha
-        rows = _derivatives(md, n, alpha, scale)[1]
-        step = _ldp(rows, np.concatenate([-slack / scale, lo - z, z - hi]))
+            return z, n, alpha, slack
+        start = work.copy()
+        start[:md.n] |= slack < 0.0
+        step = _dual_active_set(np.eye(2 * md.n), np.zeros(2 * md.n),
+                                _energy_jacobian(md, n, alpha, scale), -slack / scale,
+                                lo - z, hi - z, start)
         if step is None:
             return None
         z = z + step[0]
     return None
 
 
-def _line_search(md, z, d, u, lo, hi, scale):
-    """The first of z + d, z + d/2, ... that `_feasible_trial` keeps and whose
-    utility beats u, as (z, n, alpha, utility); None when none does."""
+def _line_search(md, z, d, u, lo, hi, scale, work):
+    """The first of z + d, z + d/2, ... that `_feasible_trial` (started from
+    `work`) keeps and whose utility beats u, as (z, n, alpha, slacks,
+    utility); None when none does."""
     t = 1.0
     while t > 1e-10:
-        trial = _feasible_trial(md, z + t * d, lo, hi, scale)
+        z_trial = z + t * d
+        trial = _feasible_trial(md, z_trial, lo, hi, scale, work)
         if trial is not None:
-            u_trial = _utility_raw(md, *trial[1:])
+            u_trial = _utility_raw(md, *trial[1:3])
             if u_trial > u:
                 return (*trial, u_trial)
+        if np.array_equal(z_trial, z):
+            break   # every shorter step rounds to this same trial
         t *= 0.5
     return None
 
@@ -431,7 +515,8 @@ def solve_bcd(scenario: Scenario, cfg: OptimizerConfig | None = None) -> OptResu
     Starts at `_start`. Each iteration's QP maximizes grad U . d - d'Bd/2
     over the step d, subject to the boxes and the energy slacks over |f|
     linearized at z; B is a Powell-damped BFGS model of minus the Lagrangian's
-    Hessian. The step is halved until `_feasible_trial` keeps it (every slack
+    Hessian. Each QP starts from the working set the previous one ended on.
+    The step is halved until `_feasible_trial` keeps it (every slack
     >= -1e-18 J) and U rises; if no step does, the iterate stays. From the
     second iteration on, stops once the utility change and the largest move
     are within `OUTER_TOL` and `MOVE_TOL`. Raises InfeasibleError with
@@ -444,27 +529,26 @@ def solve_bcd(scenario: Scenario, cfg: OptimizerConfig | None = None) -> OptResu
     n, alpha = _start(md)
     z = np.log(np.concatenate([n, alpha]))
     u = _utility_raw(md, n, alpha)
-    grad, rows = _derivatives(md, n, alpha, scale)
+    grad, jac = _derivatives(md, n, alpha, scale)
+    slack = model.slacks(md, n, alpha)
     hess = np.eye(2 * md.n)
-    active = None   # the last QP's active rows, where the next NNLS starts
+    active = None   # the last QP's active constraints, where the next QP starts
 
     trace: list[float] = []
     status = "iteration-cap"
     outer = 0
     for outer in range(1, cfg.max_outer_iters + 1):
         n_before, alpha_before = n, alpha
-        slack = model.slacks(md, n, alpha) / scale
-        qp = _qp_step(hess, grad, rows,
-                      np.concatenate([-np.maximum(slack, 0.0), lo - z, z - hi]), active)
+        qp = _qp_step(hess, grad, jac, -np.maximum(slack / scale, 0.0), lo - z, hi - z, active)
         if qp:
             active = qp[1] > 0.0
-        found = qp and _line_search(md, z, qp[0], u, lo, hi, scale)
+        found = qp and _line_search(md, z, qp[0], u, lo, hi, scale, active)
         if found:
-            z_new, n, alpha, u = found
-            grad_new, rows_new = _derivatives(md, n, alpha, scale)
+            z_new, n, alpha, slack, u = found
+            grad_new, jac_new = _derivatives(md, n, alpha, scale)
             # change of the Lagrangian's gradient at the QP's multipliers
-            hess = _bfgs(hess, z_new - z, grad - grad_new + (rows - rows_new).T @ qp[1])
-            z, grad, rows = z_new, grad_new, rows_new
+            hess = _bfgs(hess, z_new - z, grad - grad_new + (jac - jac_new).T @ qp[1][:md.n])
+            z, grad, jac = z_new, grad_new, jac_new
         trace.append(u)
         if outer > 1:
             du = abs(u - trace[-2]) / max(1.0, abs(u))
@@ -581,16 +665,21 @@ def check_kkt(scenario: Scenario, dv: DecisionVector) -> KktReport:
     md = model.build(scenario)
     lo, hi = _bounds(md)
     scale = _energy_scale(md)
-    grad, rows = _derivatives(md, dv.n, dv.alpha, scale)
+    grad, jac = _derivatives(md, dv.n, dv.alpha, scale)
     z = np.log(np.concatenate([dv.n, dv.alpha]))
     on = np.concatenate([model.slacks(md, dv.n, dv.alpha) <= 1e-7 * scale,
                          z - lo <= 1e-9, hi - z <= 1e-9])
+    # the active rows: energy, then e_k at a lower end and -e_k at an upper one
+    ends = np.flatnonzero(on[md.n:])
+    box = np.zeros((len(ends), 2 * md.n))
+    box[np.arange(len(ends)), ends % (2 * md.n)] = np.where(ends < 2 * md.n, 1.0, -1.0)
+    rows = np.vstack([jac[on[:md.n]], box])
     coords = [f"{v}[{i}]" for v in ("n", "alpha") for i in range(md.n)]
     names = ([f"energy[{i}]" for i in range(md.n)]
              + [f"{c} {end}" for end in ("lower", "upper") for c in coords])
     # started from every active row: at an optimum each one usually binds
-    lam = _nnls(rows[on].T, -grad, np.ones(int(on.sum()), dtype=bool))
-    res = (grad + rows[on].T @ lam) / max(1.0, float(np.linalg.norm(grad)))
+    lam = _nnls(rows.T, -grad, np.ones(len(rows), dtype=bool))
+    res = (grad + rows.T @ lam) / max(1.0, float(np.linalg.norm(grad)))
     values = np.concatenate([dv.n, dv.alpha])
     return KktReport(
         entries=[KktEntry(name=c, value=float(v), derivative=float(d),

@@ -1,9 +1,9 @@
 """The warm-started NNLS of `wpcsma.optimize` against its cold start.
 
-`solve_bcd` starts each QP's NNLS from the previous QP's active rows and
-`check_kkt` from every active row; `tests/nnls_oracle.py` keeps the
-cold-start form. Started anywhere, `_nnls` must solve the same problem,
-and on the solver's own calls it must give the oracle's bits.
+`check_kkt` is the one caller of `_nnls` and starts it from every active
+row; `tests/nnls_oracle.py` keeps the cold-start form. Started anywhere,
+`_nnls` must solve the same problem, and on the certificate's own calls it
+must give the oracle's bits.
 """
 
 import json
@@ -55,8 +55,11 @@ def _record(fn, *args):
 
 
 def test_warm_starts_give_the_cold_start_bits():
-    calls = [call for scn in _cases() for call in _record(_solve_and_certify, scn)]
-    assert sum(start is not None and start.any() for _, _, start in calls) > 100
+    cases = _cases()
+    calls = [call for scn in cases for call in _record(_solve_and_certify, scn)]
+    # one certificate per case, each started from its active rows
+    assert len(calls) == len(cases)
+    assert sum(start.any() for _, _, start in calls) == len(cases)
     for a, b, start in calls:
         got, want = optimize._nnls(a, b, start), oracle.nnls(a, b)
         assert got.tobytes() == want.tobytes()
@@ -119,9 +122,10 @@ def test_warm_starts_halve_the_lstsq_calls(monkeypatch):
         count[0] += 1
         return lstsq(*args, **kwargs)
 
+    dv = solve_quiet(scn).decision
     monkeypatch.setattr(np.linalg, "lstsq", counting)
-    _solve_and_certify(scn)
+    check_kkt(scn, dv)
     warm, count[0] = count[0], 0
     monkeypatch.setattr(optimize, "_nnls", lambda a, b, start=None: oracle.nnls(a, b))
-    _solve_and_certify(scn)
+    check_kkt(scn, dv)
     assert warm <= count[0] / 2
