@@ -93,7 +93,8 @@ def others_quiet(alpha):
     """prod_{j != i} 1/(1 + alpha_j) for every node i, over the last axis of
     (..., N) attempt odds: the full product divided out in O(N), for the
     optimizer. `mac.SlotProbabilities.p_quiet` is the reports' row product."""
-    return (1.0 + alpha) / np.prod(1.0 + alpha, axis=-1, keepdims=True)
+    terms = 1.0 + alpha
+    return terms / terms.prod(axis=-1, keepdims=True)
 
 
 def load(md, n, alpha):

@@ -152,17 +152,17 @@ def _solve_n_block(md, alpha, n0):
     live = np.flatnonzero(ok)
     slope = md.per_ratio * alpha  # dX/dn_i, constant
     f_prev = np.zeros(len(n))
+    x = model.load(md, n[live], alpha[live])   # each row's load, kept across iterations
     for it in range(MAX_INNER_ITERS):
         if not len(live):
             break
-        n[live] = argmax_log_minus_linear(
-            md.n * slope[live] / model.load(md, n[live], alpha[live])[:, None],
-            lo[live], hi[live])
-        f_cur = np.log(n[live]).sum(-1) - md.n * np.log(model.load(md, n[live], alpha[live]))
+        n[live] = argmax_log_minus_linear(md.n * slope[live] / x[:, None], lo[live], hi[live])
+        x = model.load(md, n[live], alpha[live])
+        f_cur = np.log(n[live]).sum(-1) - md.n * np.log(x)
         done = np.abs(f_cur - f_prev[live]) <= INNER_TOL * np.maximum(1.0, np.abs(f_cur))
         f_prev[live] = f_cur
         if it > 0:
-            live = live[~done]
+            live, x = live[~done], x[~done]
     return n if np.ndim(ok) else n[0]
 
 
@@ -293,7 +293,7 @@ def _derivatives(md, n, alpha, scale):
     """Gradient of U and `_energy_jacobian`, in z = (log n, log alpha). The
     boxes are bounds on z and have no rows."""
     x = model.load(md, n, alpha)
-    prod = float(np.prod(1.0 + alpha))
+    prod = float((1.0 + alpha).prod())
     tau = mac.tau_from_alpha(alpha)
     per = md.per_ratio * n * alpha
     grad = np.concatenate([1.0 - md.n * per / x,
@@ -304,9 +304,12 @@ def _derivatives(md, n, alpha, scale):
 def _energy_jacobian(md, n, alpha, scale):
     """Jacobian of the energy slacks over `scale` in z, one row per node."""
     q = model.others_quiet(alpha)
-    jac_x = np.outer((md.c * n + md.d) * q, mac.tau_from_alpha(alpha))
-    np.fill_diagonal(jac_x, md.b / alpha)
-    return np.hstack([np.diag(-(md.a + md.c * q) * n), jac_x]) / scale[:, None]
+    jac = np.zeros((md.n, 2 * md.n))
+    jac[:, md.n:] = ((md.c * n + md.d) * q)[:, None] * mac.tau_from_alpha(alpha)
+    node = np.arange(md.n)
+    jac[node, node] = -(md.a + md.c * q) * n
+    jac[node, md.n + node] = md.b / alpha
+    return jac / scale[:, None]
 
 
 def _bounds(md):
@@ -344,7 +347,7 @@ def _dual_active_set(hinv, d0, jac, h, lo, hi, work=None):
     d is feasible."""
     m, n = jac.shape
     b = np.concatenate([h, lo, -hi])
-    hc = np.hstack([hinv @ jac.T, hinv, -hinv])   # H c_k for every k
+    hc = np.concatenate([hinv @ jac.T, hinv, -hinv], axis=1)   # H c_k for every k
 
     def rows(v):
         """c_k.v for every k, of a vector or of each column of v."""
@@ -358,17 +361,16 @@ def _dual_active_set(hinv, d0, jac, h, lo, hi, work=None):
         if both.any():   # no coordinate is held at both of its ends
             work = work & ~np.concatenate([np.zeros(m, dtype=bool), both, both])
         act = np.flatnonzero(work)
-    gram, lam = np.zeros((0, 0)), np.zeros(0)
+    hca = hc[:, act]
+    gram = rows(hca)[act]
     try:
-        gram = rows(hc[:, act])[act]
         lam = np.linalg.solve(gram, gap[act])
         while lam.size and lam.min() < 0.0:
             keep = lam >= 0.0
-            act, gram = act[keep], gram[np.ix_(keep, keep)]
+            act, hca, gram = act[keep], hca[:, keep], gram[np.ix_(keep, keep)]
             lam = np.linalg.solve(gram, gap[act])
     except np.linalg.LinAlgError:   # dependent constraints: start from none
-        act, gram, lam = act[:0], gram[:0, :0], lam[:0]
-    hca = hc[:, act]
+        act, hca, gram, lam = act[:0], hca[:, :0], gram[:0, :0], gap[:0]
     x = d0 + hca @ lam
     # rounding error of each c_k.x - b_k
     ax = np.abs(x)
@@ -430,12 +432,12 @@ def _feasible_trial(md, z, lo, hi, scale, work):
     from the constraints of `work` and the violated energy rows."""
     top = np.concatenate([md.duty.n_max, np.full(md.n, 0.5)])
     for _ in range(4):
-        z = np.clip(z, lo, hi)
+        z = np.minimum(np.maximum(z, lo), hi)
         # exp(log v) can miss v by an ulp: z at an upper box end gives that end
         v = np.where(z >= hi, top, np.minimum(np.exp(z), top))
         n, alpha = v[:md.n], v[md.n:]
         slack = model.slacks(md, n, alpha)
-        if np.all(slack >= -1e-18):
+        if (slack >= -1e-18).all():
             return z, n, alpha, slack
         start = work.copy()
         start[:md.n] |= slack < 0.0
@@ -583,7 +585,7 @@ def _bfgs(hess, s, y):
         theta = 0.8 * shs / (shs - sy)
         y = theta * y + (1.0 - theta) * hs
         sy = float(s @ y)
-    return hess + np.outer(y, y) / sy - np.outer(hs, hs) / shs
+    return hess + y[:, None] * y / sy - hs[:, None] * hs / shs
 
 
 def round_decision(scenario: Scenario, dv: DecisionVector):
