@@ -7,13 +7,15 @@ concave, the boxes are linear and only the N energy constraints are not
 convex. `solve_bcd` runs one feasible-iterate SQP in z (Panier & Tits, Math.
 Prog. 59, 1993). Its QPs keep the N energy rows as general constraints and
 the boxes as bounds, and are solved by Goldfarb and Idnani's dual
-active-set method from the previous QP's working set. `check_kkt` judges a
-point by one test: the multipliers of its active constraints from NNLS
-(Lawson & Hanson, 1974), and the residual of the Lagrangian's gradient per
-coordinate of z. The one-block solvers (closed-form maximizers of
-log x - gamma*x on an interval) remain for the start point and as tools;
-the start solves its 60 common alphas as one (60, N) batch of n blocks,
-each row stopping on its own test.
+active-set method from the previous QP's working set, given the inverse of
+the BFGS model, which the solver updates beside the model itself. Its line
+searches end where the predicted gain falls below the rounding of U.
+`check_kkt` judges a point by one test: the multipliers of its active
+constraints from NNLS (Lawson & Hanson, 1974), and the residual of the
+Lagrangian's gradient per coordinate of z. The one-block solvers
+(closed-form maximizers of log x - gamma*x on an interval) remain for the
+start point and as tools; the start solves its 60 common alphas as one
+(60, N) batch of n blocks, each row stopping on its own test.
 """
 
 from __future__ import annotations
@@ -323,12 +325,10 @@ def _energy_scale(md) -> np.ndarray:
     return np.maximum(np.abs(md.f), 1e-30)
 
 
-def _qp_step(hess, grad, jac, h, lo, hi, work=None):
+def _qp_step(hinv, grad, jac, h, lo, hi, work=None):
     """argmax grad.d - d'Bd/2 subject to jac d >= h and lo <= d <= hi, by
-    `_dual_active_set` started from `work`. B is factored once, B = LL', and
-    B^-1 formed as L^-T L^-1."""
-    inv_low = np.linalg.inv(np.linalg.cholesky(hess))
-    hinv = inv_low.T @ inv_low
+    `_dual_active_set` started from `work`, given H = B^-1: B itself is
+    neither factored nor solved."""
     return _dual_active_set(hinv, hinv @ grad, jac, h, lo, hi, work)
 
 
@@ -450,12 +450,15 @@ def _feasible_trial(md, z, lo, hi, scale, work):
     return None
 
 
-def _line_search(md, z, d, u, lo, hi, scale, work):
+def _line_search(md, z, d, u, grad, lo, hi, scale, work):
     """The first of z + d, z + d/2, ... that `_feasible_trial` (started from
     `work`) keeps and whose utility beats u, as (z, n, alpha, slacks,
-    utility); None when none does."""
+    utility); None when none does. The halving ends once the predicted gain
+    t grad.d is within the rounding of u, where no trial can show a rise."""
     t = 1.0
-    while t > 1e-10:
+    gain = float(grad @ d)
+    floor = 16.0 * np.finfo(float).eps * max(1.0, abs(u))
+    while t > 1e-10 and t * gain > floor:
         z_trial = z + t * d
         trial = _feasible_trial(md, z_trial, lo, hi, scale, work)
         if trial is not None:
@@ -517,12 +520,14 @@ def solve_bcd(scenario: Scenario, cfg: OptimizerConfig | None = None) -> OptResu
     Starts at `_start`. Each iteration's QP maximizes grad U . d - d'Bd/2
     over the step d, subject to the boxes and the energy slacks over |f|
     linearized at z; B is a Powell-damped BFGS model of minus the Lagrangian's
-    Hessian. Each QP starts from the working set the previous one ended on.
-    The step is halved until `_feasible_trial` keeps it (every slack
-    >= -1e-18 J) and U rises; if no step does, the iterate stays. From the
-    second iteration on, stops once the utility change and the largest move
-    are within `OUTER_TOL` and `MOVE_TOL`. Raises InfeasibleError with
-    per-node details when no common alpha admits feasible sample counts.
+    Hessian, and H = B^-1 is updated beside it, so that no QP factors B.
+    Each QP starts from the working set the previous one ended on. The step
+    is halved until `_feasible_trial` keeps it (every slack >= -1e-18 J) and
+    U rises, or until its predicted gain is within the rounding of U; if no
+    step is kept, the iterate stays. From the second iteration on, stops
+    once the utility change and the largest move are within `OUTER_TOL` and
+    `MOVE_TOL`. Raises InfeasibleError with per-node details when no common
+    alpha admits feasible sample counts.
     """
     cfg = cfg or OptimizerConfig()
     md = model.build(scenario)
@@ -533,7 +538,7 @@ def solve_bcd(scenario: Scenario, cfg: OptimizerConfig | None = None) -> OptResu
     u = _utility_raw(md, n, alpha)
     grad, jac = _derivatives(md, n, alpha, scale)
     slack = model.slacks(md, n, alpha)
-    hess = np.eye(2 * md.n)
+    hess = hinv = np.eye(2 * md.n)
     active = None   # the last QP's active constraints, where the next QP starts
 
     trace: list[float] = []
@@ -541,15 +546,16 @@ def solve_bcd(scenario: Scenario, cfg: OptimizerConfig | None = None) -> OptResu
     outer = 0
     for outer in range(1, cfg.max_outer_iters + 1):
         n_before, alpha_before = n, alpha
-        qp = _qp_step(hess, grad, jac, -np.maximum(slack / scale, 0.0), lo - z, hi - z, active)
+        qp = _qp_step(hinv, grad, jac, -np.maximum(slack / scale, 0.0), lo - z, hi - z, active)
         if qp:
             active = qp[1] > 0.0
-        found = qp and _line_search(md, z, qp[0], u, lo, hi, scale, active)
+        found = qp and _line_search(md, z, qp[0], u, grad, lo, hi, scale, active)
         if found:
             z_new, n, alpha, slack, u = found
             grad_new, jac_new = _derivatives(md, n, alpha, scale)
             # change of the Lagrangian's gradient at the QP's multipliers
-            hess = _bfgs(hess, z_new - z, grad - grad_new + (jac - jac_new).T @ qp[1][:md.n])
+            hess, hinv = _bfgs(hess, hinv, z_new - z,
+                               grad - grad_new + (jac - jac_new).T @ qp[1][:md.n])
             z, grad, jac = z_new, grad_new, jac_new
         trace.append(u)
         if outer > 1:
@@ -576,8 +582,11 @@ def solve_bcd(scenario: Scenario, cfg: OptimizerConfig | None = None) -> OptResu
                      status=status, outer_iters=outer)
 
 
-def _bfgs(hess, s, y):
-    """BFGS update with Powell's damping, which keeps the model positive definite."""
+def _bfgs(hess, hinv, s, y):
+    """BFGS update of the model B and of H = B^-1 from one pair (s, y), y
+    damped as Powell proposed so that both stay positive definite. H takes
+    the inverse update H+ = (I - r s y')H(I - r y s') + r s s', r = 1/s'y
+    (Nocedal & Wright, Numerical Optimization, 2nd ed., eq. 6.17)."""
     hs = hess @ s
     shs = float(s @ hs)
     sy = float(s @ y)
@@ -585,7 +594,12 @@ def _bfgs(hess, s, y):
         theta = 0.8 * shs / (shs - sy)
         y = theta * y + (1.0 - theta) * hs
         sy = float(s @ y)
-    return hess + y[:, None] * y / sy - hs[:, None] * hs / shs
+    r = 1.0 / sy
+    hy = hinv @ y
+    sr = s * r
+    return (hess + y[:, None] * y / sy - hs[:, None] * hs / shs,
+            hinv - (hy[:, None] * sr + sr[:, None] * hy)
+            + (r * float(y @ hy) + 1.0) * sr[:, None] * s)
 
 
 def round_decision(scenario: Scenario, dv: DecisionVector):

@@ -459,6 +459,23 @@ def test_bcd_reaches_the_joint_optimum_on_gen48():
     assert np.all(res.slacks >= -1e-18)
 
 
+def test_line_searches_end_at_the_rounding_of_u(monkeypatch):
+    # halving on until z + t d rounds to z took 41 trials on gen24; a search
+    # whose predicted gain is below the rounding of U cannot show a rise
+    scn = scenario_from_dict(json.loads((DATA / "gen24_rng24000.json").read_text()))
+    count = [0]
+    trial = optimize._feasible_trial
+
+    def counting(*args):
+        count[0] += 1
+        return trial(*args)
+
+    monkeypatch.setattr(optimize, "_feasible_trial", counting)
+    res = solve_quiet(scn)
+    assert res.status == "converged" and len(res.utility_trace) == res.outer_iters
+    assert count[0] <= 41 // 2
+
+
 # --- the batched n block against its scalar form (tests/n_block_oracle.py) ---
 
 def same_bits(got, want) -> bool:

@@ -1,12 +1,15 @@
 """The SQP's bounded QP solver against the least-distance path it replaced.
 
-`solve_bcd` solves each QP with `_qp_step` (one Cholesky of B, then
-`_dual_active_set`) and each minimum-norm correction of `_feasible_trial`
-with `_dual_active_set` at B = I. `tests/qp_oracle.py` keeps the old path,
-NNLS on the least-distance dual with the boxes as dense rows. On every QP
-and every correction of the bundled solves and of C4's random instances,
-the solver must return the oracle's step and multipliers, started cold,
-from the right working set and from wrong ones.
+`solve_bcd` carries the BFGS model B and its inverse H = B^-1, both
+updated by `_bfgs`. It solves each QP with `_qp_step`, which takes H and
+calls `_dual_active_set`, and each minimum-norm correction of
+`_feasible_trial` with `_dual_active_set` at B = I. `tests/qp_oracle.py`
+keeps the old path, NNLS on the least-distance dual with the boxes as
+dense rows, which factors B itself. Every QP and every correction of the
+bundled solves and of C4's random instances is recorded, each QP with
+both B and H. Given H, the solver must return the step and multipliers
+that the oracle finds from B, started cold, from the right working set and
+from wrong ones. H must stay B^-1 through every update.
 """
 
 import numpy as np
@@ -21,25 +24,39 @@ REL = 1e-9
 
 
 def _recorded():
-    """(qps, corrections) of the bundled solves and of C4's instances: the
-    inputs of every `_qp_step` and of every `_dual_active_set` at B = I."""
-    qps, corrections = [], []
-    qp_step, dual = optimize._qp_step, optimize._dual_active_set
+    """(qps, corrections, updates) of the bundled solves and of C4's
+    instances: the inputs of every `_qp_step` with the B whose inverse it
+    was given, of every `_dual_active_set` at B = I, and of every `_bfgs`
+    call with its result."""
+    qps, corrections, updates = [], [], []
+    qp_step, dual, bfgs = optimize._qp_step, optimize._dual_active_set, optimize._bfgs
 
-    def record_qp(hess, grad, jac, h, lo, hi, work=None):
-        qps.append((hess, grad, jac, h, lo, hi))
-        return qp_step(hess, grad, jac, h, lo, hi, work)
+    def record_qp(hinv, grad, jac, h, lo, hi, work=None):
+        # H is the last update's, or the identity that each solve starts from
+        if updates and hinv is updates[-1][1][1]:
+            hess = updates[-1][1][0]
+        else:
+            assert np.array_equal(hinv, np.eye(len(grad)))
+            hess = hinv
+        qps.append((hess, hinv, grad, jac, h, lo, hi))
+        return qp_step(hinv, grad, jac, h, lo, hi, work)
 
     def record_dual(hinv, d0, jac, h, lo, hi, work=None):
         if not d0.any():
             corrections.append((jac, h, lo, hi))
         return dual(hinv, d0, jac, h, lo, hi, work)
 
+    def record_bfgs(hess, hinv, s, y):
+        out = bfgs(hess, hinv, s, y)
+        updates.append(((hess, hinv, s, y), out))
+        return out
+
     cases = [bundled_scenario("example1"), bundled_scenario("example2")]
     rng = np.random.default_rng(2026)   # C4's instances
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(optimize, "_qp_step", record_qp)
         mp.setattr(optimize, "_dual_active_set", record_dual)
+        mp.setattr(optimize, "_bfgs", record_bfgs)
         for scn in cases:
             solve_quiet(scn)
         solved = tried = 0
@@ -50,7 +67,7 @@ def _recorded():
             except InfeasibleError:
                 continue
             solved += 1
-    return qps, corrections
+    return qps, corrections, updates
 
 
 @pytest.fixture(scope="module")
@@ -80,18 +97,18 @@ def _assert_same(got, want, d0):
 
 
 def test_qp_steps_match_the_least_distance_oracle(recorded):
-    qps, _ = recorded
+    qps, _, _ = recorded
     assert len(qps) > 1000
     rng = np.random.default_rng(23)
-    for hess, grad, jac, h, lo, hi in qps:
+    for hess, hinv, grad, jac, h, lo, hi in qps:
         want = oracle.qp_step(hess, grad, jac, h, lo, hi)
         d0 = np.linalg.solve(hess, grad)
         for start in _starts(want, rng):
-            _assert_same(optimize._qp_step(hess, grad, jac, h, lo, hi, start), want, d0)
+            _assert_same(optimize._qp_step(hinv, grad, jac, h, lo, hi, start), want, d0)
 
 
 def test_corrections_match_the_least_distance_oracle(recorded):
-    _, corrections = recorded
+    _, corrections, _ = recorded
     assert len(corrections) > 50
     rng = np.random.default_rng(24)
     for jac, h, lo, hi in corrections:
@@ -109,24 +126,53 @@ def test_infeasible_constraints_give_none():
                                  np.full(2, -1.0), np.full(2, 0.5), start) is None
 
 
-def test_one_cholesky_and_no_lu_of_b_per_qp(recorded, monkeypatch):
-    qps, _ = recorded
+def test_h_stays_the_inverse_of_b(recorded):
+    _, _, updates = recorded
+    damped = 0
+    for (hess, _, s, y), (hess_new, hinv_new) in updates:
+        hs = hess @ s
+        damped += float(s @ y) < 0.2 * float(s @ hs)
+        assert np.abs(hinv_new @ hess_new - np.eye(len(s))).max() <= 1e-8
+    assert len(updates) > 500 and damped > 10
+
+
+def _gram_rows(a, gram, tol):
+    """Indices k with a equal to gram[k][:, k] within tol, found by search
+    over the rows whose diagonal matches; None when there are none."""
+    cands = [np.flatnonzero(np.abs(np.diag(gram) - a[i, i]) <= tol) for i in range(len(a))]
+
+    def extend(picked):
+        i = len(picked)
+        if i == len(a):
+            return picked
+        for p in cands[i]:
+            if p not in picked and np.all(np.abs(gram[p, picked] - a[i, :i]) <= tol) \
+                    and np.all(np.abs(gram[picked, p] - a[:i, i]) <= tol):
+                found = extend(picked + [p])
+                if found is not None:
+                    return found
+        return None
+
+    return extend([])
+
+
+def test_a_qp_factors_nothing_and_solves_only_working_set_gram_matrices(recorded,
+                                                                        monkeypatch):
+    qps, _, _ = recorded
     calls = []
     for name in ("cholesky", "inv", "solve", "lstsq"):
         real = getattr(np.linalg, name)
         monkeypatch.setattr(np.linalg, name,
                             lambda a, *args, real=real, name=name, **kw:
                             calls.append((name, np.array(a))) or real(a, *args, **kw))
-    for hess, grad, jac, h, lo, hi in qps[-20:]:
+    for _, hinv, grad, jac, h, lo, hi in qps[-20:]:
         calls.clear()
-        optimize._qp_step(hess, grad, jac, h, lo, hi)
-        names = [name for name, _ in calls]
-        assert names.count("cholesky") == 1 and names.count("inv") == 1
-        assert "lstsq" not in names
-        # the one inverse is of the triangular factor; solves are of Gram
-        # matrices of the working set, never of B
-        for name, a in calls:
-            if name == "inv":
-                assert not np.triu(a, 1).any()
-            if name == "solve":
-                assert a.shape != hess.shape or not np.array_equal(a, hess)
+        optimize._qp_step(hinv, grad, jac, h, lo, hi)
+        assert calls and {name for name, _ in calls} == {"solve"}
+        # every solve is of C_A H C_A' for a set A of the constraint rows
+        # C = (jac, I, -I): a working set's Gram matrix, never B
+        rows = np.vstack([jac, np.eye(len(grad)), -np.eye(len(grad))])
+        gram = rows @ hinv @ rows.T
+        tol = 1e-10 * np.abs(gram).max()
+        for _, a in calls:
+            assert _gram_rows(a, gram, tol) is not None
